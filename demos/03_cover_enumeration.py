@@ -20,13 +20,15 @@ for name in ("k4", "prism", "cube", "wheel:4"):
 
 # the count is exactly 1 precisely when the planar dual is an
 # Apollonian network: K4 and the prism qualify (duals K4 and the
-# bipyramid), the cube and wheels do not
+# bipyramid), the cube and wheels do not.  the census stops at the
+# second cover, so a larger count shows as the lower bound "2+"
 from cdclab.census import census_entry
 
 for name in ("k4", "prism", "cube", "apollonian-dual:0,1,2"):
     e = census_entry(name)
+    covers = f"{e['orientable_covers']}{'+' if e['count_is_lower_bound'] else ''}"
     print(f"{name}: dual_apollonian={e['dual_apollonian']}, "
-          f"covers={e['orientable_covers']}, verdict {e['verdict']}")
+          f"covers={covers}, verdict {e['verdict']}")
 
 # orientable does not mean surface-like: a circuit through a vertex
 # twice pinches the complex and the Euler count V - E + k goes odd

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -341,9 +341,10 @@ def genus(g: SimpleGraph, cover: CircuitDoubleCover) -> GenusReport:
 class EnumerationResult:
     """Covers found by exhaustive search, plus completeness flags.
 
-    ``complete`` is False when the time budget ran out; the covers
-    found so far are still returned (a lower bound, never silently
-    truncated).
+    ``complete`` is True only when the search ran to exhaustion.  It is
+    False when the time budget ran out or when the cover limit was
+    reached (then ``limit_reached`` is True); the covers found so far
+    are still returned (a lower bound, never silently truncated).
     """
 
     covers: tuple[CircuitDoubleCover, ...]
@@ -351,6 +352,7 @@ class EnumerationResult:
     orientable_only: bool
     elapsed: float
     nodes: int
+    limit_reached: bool = False
 
     @property
     def orientable_covers(self) -> tuple[CircuitDoubleCover, ...]:
@@ -359,6 +361,10 @@ class EnumerationResult:
 
 def require_complete(result: EnumerationResult) -> EnumerationResult:
     """Raise :class:`TimeBudgetExceeded` unless the search finished."""
+    if result.limit_reached:
+        raise TimeBudgetExceeded(
+            f"search stopped at the cover limit "
+            f"with {len(result.covers)} covers found")
     if not result.complete:
         raise TimeBudgetExceeded(
             f"search stopped after {result.elapsed:.1f} s "
@@ -367,12 +373,17 @@ def require_complete(result: EnumerationResult) -> EnumerationResult:
 
 
 class _Deadline:
-    __slots__ = ("at", "hit", "nodes")
+    """The search's stop flag: set when the time budget runs out or
+    when ``limit`` distinct covers have been recorded."""
 
-    def __init__(self, budget: float | None):
+    __slots__ = ("at", "hit", "nodes", "limit", "limit_reached")
+
+    def __init__(self, budget: float | None, limit: int | None):
         self.at = None if budget is None else time.monotonic() + budget
         self.hit = False
         self.nodes = 0
+        self.limit = limit
+        self.limit_reached = False
 
     def tick(self) -> bool:
         """Count a node; True when the budget has just run out."""
@@ -381,6 +392,14 @@ class _Deadline:
                 and time.monotonic() > self.at:
             self.hit = True
         return self.hit
+
+    def record(self, found: dict[tuple, CircuitDoubleCover],
+               cover: CircuitDoubleCover) -> None:
+        """Keep the first cover of each canonical form; stop at the
+        limit."""
+        found.setdefault(cover.canonical_form(), cover)
+        if self.limit is not None and len(found) >= self.limit:
+            self.hit = self.limit_reached = True
 
 
 def _edge_connected(edges: list[Edge]) -> bool:
@@ -444,8 +463,7 @@ def _enumerate_oriented(g: SimpleGraph, deadline: _Deadline
                 return
             circuits.append([normalize_edge(u, v) for u, v in part])
             orientation.append(part)
-        cover = CircuitDoubleCover.build(circuits, orientation)
-        found.setdefault(cover.canonical_form(), cover)
+        deadline.record(found, CircuitDoubleCover.build(circuits, orientation))
 
     def assign(d: int) -> None:
         if deadline.hit or deadline.tick():
@@ -532,8 +550,7 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
             if not _edge_connected(part):
                 return
             circuits.append(part)
-        cover = CircuitDoubleCover.build(circuits)
-        found.setdefault(cover.canonical_form(), cover)
+        deadline.record(found, CircuitDoubleCover.build(circuits))
 
     def flip(p: int, u: int, v: int) -> None:
         for x in (u, v):
@@ -596,6 +613,7 @@ def enumerate_covers(
     orientable_only: bool = True,
     max_edges: int = DEFAULT_MAX_EDGES,
     time_budget: float | None = None,
+    limit: int | None = None,
 ) -> EnumerationResult:
     """Exhaustively list circuit double covers of a small graph.
 
@@ -608,12 +626,17 @@ def enumerate_covers(
     ``max_edges`` guards against oversized hosts (EdgeLimitExceeded);
     ``time_budget`` (seconds) turns long searches into flagged partial
     results rather than exceptions, see :class:`EnumerationResult`.
+    ``limit`` stops the search once that many distinct covers (of any
+    orientability) have been found; the result then has
+    ``limit_reached`` set and is not ``complete``.
     """
     if len(g.edges) > max_edges:
         raise EdgeLimitExceeded(
             f"{len(g.edges)} edges exceed the cap of {max_edges}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     start = time.monotonic()
-    deadline = _Deadline(time_budget)
+    deadline = _Deadline(time_budget, limit)
     if orientable_only:
         found = _enumerate_oriented(g, deadline)
         covers = [found[key] for key in sorted(found)]
@@ -632,6 +655,7 @@ def enumerate_covers(
         orientable_only=orientable_only,
         elapsed=time.monotonic() - start,
         nodes=deadline.nodes,
+        limit_reached=deadline.limit_reached,
     )
 
 

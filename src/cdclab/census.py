@@ -1,10 +1,12 @@
-"""Corpus-wide cover census: count orientable covers, compare duals.
+"""Corpus-wide cover census: decide "exactly one cover", compare duals.
 
-Each entry independently enumerates the orientable circuit double
+Each entry independently searches the orientable circuit double
 covers of one corpus graph and checks the uniqueness law: the count is
-exactly one precisely when the dual is an Apollonian network.  Entries
-run in a process pool; the merged report is deterministic (and, with
-timing stripped, byte-identical) for any worker count.
+exactly one precisely when the dual is an Apollonian network.  The
+search stops at the second distinct cover, which already decides the
+question; ``cdc enumerate`` gives full counts.  Entries run in a
+process pool; the merged report is deterministic (and, with timing
+stripped, byte-identical) for any worker count.
 """
 
 from __future__ import annotations
@@ -17,25 +19,31 @@ from typing import Any, Sequence
 from .apollonian import is_apollonian
 from .cdc import DEFAULT_MAX_EDGES, enumerate_covers
 from .corpus import default_census_corpus, select
+from .errors import BadEnvironment
 from .io_formats import report_to_json
 from .planar_map import dualize, underlying_graph
 
 
 def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
                  time_budget: float | None = None) -> dict[str, Any]:
-    """Count orientable covers of one corpus entry and judge it.
+    """Decide whether one corpus entry has exactly one orientable cover,
+    and judge it against its dual.
 
-    Incomplete searches report a lower bound and an ``incomplete``
-    verdict; they never count for or against the census.
+    The search stops at two distinct covers.  An entry is decided when
+    the search finished or reached those two covers; any unfinished
+    search reports its count as a lower bound.  Undecided entries get
+    an ``incomplete`` verdict and never count for or against the
+    census.
     """
     start = time.monotonic()
     m = select(name)
     g = underlying_graph(m)
     result = enumerate_covers(g, orientable_only=True,
-                              max_edges=max_edges, time_budget=time_budget)
+                              max_edges=max_edges, time_budget=time_budget,
+                              limit=2)
     dual_apollonian = is_apollonian(underlying_graph(dualize(m)))
     count = len(result.covers)
-    if not result.complete:
+    if not (result.complete or result.limit_reached):
         verdict = "incomplete"
     elif (count == 1) == dual_apollonian:
         verdict = "pass"
@@ -60,14 +68,22 @@ def _entry_args(args: tuple[str, int, float | None]) -> dict[str, Any]:
 
 
 def worker_count(requested: int | None, tasks: int) -> int:
-    """Resolve the pool size from the request and CDCLAB_THREADS."""
+    """Resolve the pool size from the request and CDCLAB_THREADS.
+
+    Raises :class:`BadEnvironment` unless CDCLAB_THREADS, when set, is
+    a positive integer.
+    """
     count = requested if requested and requested > 0 else (os.cpu_count() or 1)
     cap = os.environ.get("CDCLAB_THREADS")
     if cap:
         try:
-            count = min(count, max(1, int(cap)))
+            limit = int(cap)
         except ValueError:
-            pass
+            limit = 0
+        if limit < 1:
+            raise BadEnvironment(
+                f"CDCLAB_THREADS must be a positive integer, got {cap!r}")
+        count = min(count, limit)
     return max(1, min(count, tasks))
 
 
@@ -80,8 +96,9 @@ def run_census(
 ) -> dict[str, Any]:
     """Run the census over ``corpus`` (default corpus when omitted).
 
-    The verdict is "pass" when every completed entry satisfies the
-    uniqueness law, "fail" when any completed entry breaks it.
+    The verdict is "pass" when every decided entry satisfies the
+    uniqueness law, "fail" when any decided entry breaks it.
+    ``completed`` counts the decided entries, see :func:`census_entry`.
     """
     names = list(corpus) if corpus is not None else default_census_corpus()
     start = time.monotonic()
@@ -93,15 +110,14 @@ def run_census(
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             entries = list(pool.map(_entry_args, args))
 
-    completed = [e for e in entries if e["complete"]]
-    failed = [e["name"] for e in completed if e["verdict"] == "fail"]
-    incomplete = [e["name"] for e in entries if not e["complete"]]
+    failed = [e["name"] for e in entries if e["verdict"] == "fail"]
+    incomplete = [e["name"] for e in entries if e["verdict"] == "incomplete"]
     verdict = "fail" if failed else "pass"
     return report_to_json("census", {
         "corpus": names,
         "entries": entries,
         "settings": {"max_edges": max_edges, "time_budget": time_budget},
-        "completed": len(completed),
+        "completed": len(entries) - len(incomplete),
         "incomplete": sorted(incomplete),
         "failed": sorted(failed),
         "verdict": verdict,

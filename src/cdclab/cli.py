@@ -8,6 +8,7 @@ stderr.  Exit codes: 0 success or pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Any, Sequence
@@ -23,7 +24,6 @@ from .cdc import (
     DEFAULT_MAX_EDGES,
     check_orientability,
     enumerate_covers,
-    facial_cover,
     genus,
     translate_cover,
     validate_cover,
@@ -31,6 +31,7 @@ from .cdc import (
 from .census import run_census
 from .corpus import select
 from .errors import (
+    BadEnvironment,
     BadSelector,
     CdcLabError,
     EdgeLimitExceeded,
@@ -310,8 +311,39 @@ def _cmd_census(ns: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
+def _budget(text: str) -> float:
+    """A time budget in seconds: finite and not negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"need a finite number of seconds >= 0, got {text!r}")
+    return value
+
+
+def _workers(text: str) -> int:
+    """A worker count: an integer of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"need an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdclab",
         description="planar-map surgeries and circuit double covers")
     parser.add_argument("--version", action="version", version=__version__)
@@ -369,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--all", action="store_true",
                     help="all covers, orientability decided per cover")
     pe.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    pe.add_argument("--budget", type=float, default=None,
+    pe.add_argument("--budget", type=_budget, default=None,
                     help="time budget in seconds")
     add_out(pe)
     pe.set_defaults(func=_cmd_cdc_enumerate)
@@ -403,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="orientable-cover census")
     p.add_argument("--corpus", help="comma-separated selectors")
     p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None,
+                   help="time budget in seconds per entry")
+    p.add_argument("--workers", type=_workers, default=None)
     add_out(p)
     p.set_defaults(func=_cmd_census)
 
@@ -419,7 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return ns.func(ns)
-    except (BadSelector, UnknownEdge) as exc:
+    except (BadSelector, BadEnvironment, UnknownEdge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EdgeLimitExceeded, TimeBudgetExceeded) as exc:

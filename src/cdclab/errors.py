@@ -53,6 +53,10 @@ class BadSelector(CdcLabError):
     """A graph selector string or stacking sequence is invalid."""
 
 
+class BadEnvironment(CdcLabError):
+    """An environment variable the package reads holds an invalid value."""
+
+
 class NotApollonian(CdcLabError):
     """The graph is not a stacked triangulation."""
 

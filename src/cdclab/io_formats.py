@@ -8,7 +8,7 @@ convert between the two explicitly.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping
 
 from .cdc import CircuitDoubleCover, Edge
 from .errors import BadSelector, UnknownEdge
@@ -21,7 +21,10 @@ CORRESPONDENCE_FORMAT = "correspondence/v1"
 REPORT_FORMAT = "report/v1"
 
 
-def _expect_format(data: Mapping[str, Any], wanted: str) -> None:
+def _expect_format(data: Any, wanted: str) -> None:
+    if not isinstance(data, Mapping):
+        raise BadSelector(
+            f"{wanted} needs a JSON object, got {type(data).__name__}")
     got = data.get("format")
     if got != wanted:
         raise BadSelector(f"expected format {wanted!r}, got {got!r}")
@@ -38,9 +41,9 @@ def map_to_json(m: PlanarMap) -> dict[str, Any]:
     return {"format": MAP_FORMAT, "vertices": rows}
 
 
-def map_from_json(data: Mapping[str, Any]) -> PlanarMap:
-    if data.get("format") == REPORT_FORMAT and isinstance(
-            data.get("map"), Mapping):
+def map_from_json(data: Any) -> PlanarMap:
+    if isinstance(data, Mapping) and data.get("format") == REPORT_FORMAT \
+            and isinstance(data.get("map"), Mapping):
         # surgery reports embed their output map; accept them directly
         return map_from_json(data["map"])
     _expect_format(data, MAP_FORMAT)
@@ -56,10 +59,6 @@ def map_from_json(data: Mapping[str, Any]) -> PlanarMap:
     if len(adjacency) != len(rows):
         raise BadSelector("duplicate vertex ids")
     return from_rotation(adjacency)
-
-
-def _label_of(m: PlanarMap) -> Sequence[int]:
-    return m.labels
 
 
 def _index_of(m: PlanarMap) -> dict[int, int]:
@@ -85,7 +84,7 @@ def cover_to_json(cover: CircuitDoubleCover, host: str,
     return out
 
 
-def cover_from_json(data: Mapping[str, Any],
+def cover_from_json(data: Any,
                     m: PlanarMap | None = None) -> CircuitDoubleCover:
     """Parse a cover, converting host labels to internal ids."""
     _expect_format(data, COVER_FORMAT)
@@ -102,12 +101,19 @@ def cover_from_json(data: Mapping[str, Any],
             raise UnknownEdge(f"vertex {x} not in host map")
         return idx[x]
 
-    parsed = [[(vid(u), vid(v)) for u, v in c] for c in circuits]
+    def pairs(rows: Any) -> list[list[tuple[int, int]]]:
+        try:
+            return [[(vid(u), vid(v)) for u, v in row] for row in rows]
+        except (TypeError, ValueError) as exc:
+            raise BadSelector(
+                f"cover/v1 rows must be lists of [u, v] pairs: {exc}") from exc
+
+    parsed = pairs(circuits)
     orientation = data.get("orientation")
     if orientation is None:
         return CircuitDoubleCover.build(parsed)
-    arcs = [[(vid(u), vid(v)) for u, v in part] for part in orientation]
-    return CircuitDoubleCover.build(parsed, [frozenset(p) for p in arcs])
+    return CircuitDoubleCover.build(
+        parsed, [frozenset(p) for p in pairs(orientation)])
 
 
 def _edge_out(e: Edge, lab) -> list[int]:

@@ -309,9 +309,6 @@ class SimpleGraph:
             raise VertexNotInMap(f"no vertex {v}")
         return self.adjacency[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def is_connected(self, without: Iterable[int] = ()) -> bool:
         """Connectivity of the graph with ``without`` vertices deleted."""
         banned = set(without)
@@ -391,11 +388,6 @@ def from_rotation(
             sigma[d] = dart(v, row[(j + 1) % len(row)])
 
     return PlanarMap(sigma, vertex_of, names, require_planar=require_planar)
-
-
-def trace_faces(m: PlanarMap) -> tuple[Face, ...]:
-    """Face boundaries of ``m`` in canonical order."""
-    return m.faces
 
 
 def euler_genus(m: PlanarMap) -> int:

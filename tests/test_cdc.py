@@ -17,7 +17,15 @@ from cdclab.cdc import (
     validate_cover,
     validate_oriented_cover,
 )
-from cdclab.corpus import cube, k4, octahedron, prism, wheel
+from cdclab.corpus import (
+    cube,
+    default_census_corpus,
+    k4,
+    octahedron,
+    prism,
+    select,
+    wheel,
+)
 from cdclab.errors import (
     CorrespondenceMismatch,
     EdgeLimitExceeded,
@@ -254,6 +262,43 @@ def test_time_budget_flags_partial_results():
     assert not result.complete
     with pytest.raises(TimeBudgetExceeded):
         require_complete(result)
+
+
+def test_cover_limit_agrees_with_full_search():
+    # the census's early exit against the unlimited search; octahedron
+    # and its alias k222 share one graph, so one full search serves both
+    names = default_census_corpus() + ["octahedron", "k222", "wheel:6",
+                                       "cube"]
+    exact_by_edges = {}
+    for name in names:
+        g = underlying_graph(select(name))
+        if g.edges not in exact_by_edges:
+            full = require_complete(enumerate_covers(g))
+            exact_by_edges[g.edges] = {c.canonical_form()
+                                       for c in full.covers}
+        exact = exact_by_edges[g.edges]
+        found = enumerate_covers(g, limit=2)
+        forms = {c.canonical_form() for c in found.covers}
+        assert len(forms) == len(found.covers) == min(2, len(exact)), name
+        assert forms <= exact, name
+        # no host here has exactly two covers, so stopping at the
+        # limit means the full count is above two
+        assert found.limit_reached == (len(exact) > 2), name
+        assert found.complete is not found.limit_reached, name
+    # the oracle stops the same way; K4 has exactly two covers in all,
+    # and the search stops at the second without knowing there is no third
+    for m in (k4(), wheel(4)):
+        g = underlying_graph(m)
+        full = {c.canonical_form()
+                for c in enumerate_covers(g, orientable_only=False).covers}
+        found = enumerate_covers(g, orientable_only=False, limit=2)
+        assert len(found.covers) == 2 <= len(full)
+        assert found.limit_reached and not found.complete
+        assert {c.canonical_form() for c in found.covers} <= full
+    with pytest.raises(TimeBudgetExceeded, match="cover limit"):
+        require_complete(enumerate_covers(underlying_graph(cube()), limit=2))
+    with pytest.raises(ValueError):
+        enumerate_covers(underlying_graph(k4()), limit=0)
 
 
 def test_translate_facial_cover_of_truncated_k4():

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from cdclab.cdc import CircuitDoubleCover, check_orientability, facial_cover
+from cdclab.census import worker_count
 from cdclab.cli import main
 from cdclab.corpus import k4, select
-from cdclab.errors import BadSelector, UnknownEdge
+from cdclab.errors import BadEnvironment, BadSelector, UnknownEdge
 from cdclab.io_formats import (
     COVER_FORMAT,
     MAP_FORMAT,
@@ -290,6 +291,97 @@ def test_census_small_corpus(tmp_path, capsys):
     assert doc["verdict"] == "pass"
     counts = {e["name"]: e["orientable_covers"] for e in doc["entries"]}
     assert counts == {"k4": 1, "prism": 1}
+
+
+def test_enumerate_counts_every_octahedron_cover(tmp_path, capsys):
+    # the census stops at two covers; full counts come from cdc enumerate
+    path = tmp_path / "covers.json"
+    code, _, _ = run_cli(capsys, "cdc", "enumerate", "octahedron",
+                         "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert (doc["count"], doc["complete"]) == (6663, True)
+
+
+def test_default_census_decides_at_two_covers(tmp_path, capsys):
+    path = tmp_path / "census.json"
+    code, _, _ = run_cli(capsys, "census", "--workers", "1",
+                         "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["verdict"] == "pass"
+    entries = {e["name"]: e for e in doc["entries"]}
+    assert "k222" not in entries
+    octa = entries["octahedron"]
+    assert (octa["orientable_covers"], octa["count_is_lower_bound"],
+            octa["complete"], octa["verdict"]) == (2, True, False, "pass")
+    assert doc["incomplete"] == []
+    assert doc["completed"] == len(entries)
+
+
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "@{path}"],
+    ["cdc", "validate", "k4", "--cover", "{path}"],
+    ["apollonian", "check", "{path}"],
+])
+@pytest.mark.parametrize("payload", ["[1, 2]", "3", "null", '"map"'])
+def test_json_top_level_must_be_object(tmp_path, capsys, argv, payload):
+    path = tmp_path / "doc.json"
+    path.write_text(payload)
+    code, _, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert_one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize("body", [
+    {"circuits": [[1]]},
+    {"circuits": [[[1, 2, 3]]]},
+    {"circuits": [[[1, None]]]},
+    {"circuits": [[[1, 2]]], "orientation": 5},
+])
+def test_malformed_cover_rows_are_usage_errors(tmp_path, capsys, body):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"format": COVER_FORMAT, **body}))
+    code, _, err = run_cli(capsys, "cdc", "validate", "k4",
+                           "--cover", str(path))
+    assert_one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdc", "enumerate", "octahedron", "--budget", "-1"],
+    ["cdc", "enumerate", "k4", "--budget", "nan"],
+    ["cdc", "enumerate", "k4", "--budget", "inf"],
+    ["census", "--corpus", "k4", "--budget", "-0.5"],
+    ["census", "--corpus", "k4", "--budget", "nan"],
+    ["census", "--corpus", "k4", "--workers", "0"],
+    ["census", "--corpus", "k4", "--workers", "-2"],
+])
+def test_bad_flag_values_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-3", "1.5"])
+def test_junk_thread_cap_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("CDCLAB_THREADS", value)
+    with pytest.raises(BadEnvironment):
+        worker_count(None, 4)
+    code, out, err = run_cli(capsys, "census", "--corpus", "k4")
+    assert_one_line_usage_error(code, err)
+    assert "CDCLAB_THREADS" in err
+    assert out == ""
+
+
+def test_thread_cap_limits_workers(monkeypatch):
+    monkeypatch.setenv("CDCLAB_THREADS", "1")
+    assert worker_count(8, 4) == 1
 
 
 def test_usage_error_on_missing_subcommand(capsys):
