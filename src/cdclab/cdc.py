@@ -77,13 +77,19 @@ class CircuitDoubleCover:
         circuits: Iterable[Iterable[Sequence[int]]],
         orientation: Sequence[Iterable[Arc]] | None = None,
     ) -> "CircuitDoubleCover":
-        """Canonicalize circuit order (keeping any orientation aligned)."""
+        """Canonicalize circuit order (keeping any orientation aligned).
+
+        Raises :class:`InvalidCover` when ``orientation`` does not have
+        one part per circuit.
+        """
         sets = [_normalize_circuit(c) for c in circuits]
         if orientation is None:
             return cls(tuple(sorted(sets, key=_circuit_key)))
-        paired = sorted(
-            zip(sets, (frozenset(p) for p in orientation)),
-            key=lambda sp: _circuit_key(sp[0]))
+        parts = [frozenset(p) for p in orientation]
+        if len(parts) != len(sets):
+            raise InvalidCover(f"{len(parts)} orientation parts "
+                               f"for {len(sets)} circuits")
+        paired = sorted(zip(sets, parts), key=lambda sp: _circuit_key(sp[0]))
         return cls(tuple(s for s, _ in paired), tuple(p for _, p in paired))
 
     @property
@@ -421,24 +427,75 @@ def _edge_connected(edges: list[Edge]) -> bool:
     return len(seen) == len(adj)
 
 
+def _search_order(g: SimpleGraph) -> list[Edge]:
+    """The dart search's edge order: close vertices as early as possible.
+
+    Edges are picked greedily by, in turn: the number of endpoints the
+    edge completes (places the last unplaced edge at), most first; the
+    number of endpoints already touched, most first; the unplaced edge
+    count at the emptier endpoint, then at both endpoints, fewest
+    first; and last the edge itself.
+    """
+    deg = [g.degree(v) for v in range(g.n)]
+    unplaced = deg[:]
+    left = set(g.edges)
+    order: list[Edge] = []
+
+    def key(e: Edge) -> tuple:
+        a, b = unplaced[e[0]], unplaced[e[1]]
+        completes = (a == 1) + (b == 1)
+        touched = (a < deg[e[0]]) + (b < deg[e[1]])
+        return -completes, -touched, min(a, b), a + b, e
+
+    while left:
+        e = min(left, key=key)
+        left.remove(e)
+        order.append(e)
+        unplaced[e[0]] -= 1
+        unplaced[e[1]] -= 1
+    return order
+
+
 def _enumerate_oriented(g: SimpleGraph, deadline: _Deadline
                         ) -> dict[tuple, CircuitDoubleCover]:
     """Backtrack over darts; project oriented partitions to covers.
 
-    Darts 2i and 2i+1 are the two directions of edge i (in sorted edge
-    order).  A dart joins an existing part or opens the next fresh one
-    (restricted growth), subject to: its edge not yet in the part, its
-    opposite dart elsewhere, and per-vertex balance feasibility
-    (total absolute imbalance cannot exceed unassigned incident
-    darts).  Parts are checked for connectivity at completion.
+    Darts 2i and 2i+1 are the two directions of edge i in
+    :func:`_search_order`, which places edges so that vertices are
+    completed (all their darts placed) early.  A dart joins an existing
+    part or opens the next fresh one (restricted growth), subject to:
+    its edge not yet in the part, its opposite dart elsewhere, and
+    per-vertex balance feasibility (total absolute imbalance cannot
+    exceed unassigned incident darts, so every part is balanced at a
+    completed vertex).  Parts are checked for connectivity at
+    completion.
+
+    Reversing every part of an oriented cover gives another one, and
+    only one of each reversal pair needs searching.  The anchor is the
+    first vertex to complete.  Let o_1..o_k be its outgoing darts in
+    placement order, i_j the reverse of o_j, a the part of o_1 and b
+    the part of i_1; let f be the least j with i_j in a and h the least
+    j with o_j in b (both exist, as a and b balance at the anchor).
+    Reversal swaps the parts of o_j and i_j, so it swaps a with b and f
+    with h; the subtree is cut where f > h, and every cover keeps an
+    orientation.  Ties (f == h, impossible on a cubic host) keep both,
+    and covers are deduplicated by canonical form.
     """
-    edges = sorted(g.edges)
+    edges = _search_order(g)
     n_darts = 2 * len(edges)
     tail = [0] * n_darts
     head = [0] * n_darts
+    last_edge: dict[int, int] = {}
     for i, (u, v) in enumerate(edges):
         tail[2 * i], head[2 * i] = u, v
         tail[2 * i + 1], head[2 * i + 1] = v, u
+        last_edge[u] = last_edge[v] = i
+    anchor_depth = -1
+    anchor_out: list[int] = []
+    if edges:
+        anchor = min(last_edge, key=lambda v: (last_edge[v], v))
+        anchor_depth = 2 * last_edge[anchor] + 2
+        anchor_out = [d for d in range(anchor_depth) if tail[d] == anchor]
 
     part_of = [-1] * n_darts
     part_edges: list[int] = []          # edge bitmask per part
@@ -465,8 +522,17 @@ def _enumerate_oriented(g: SimpleGraph, deadline: _Deadline
             orientation.append(part)
         deadline.record(found, CircuitDoubleCover.build(circuits, orientation))
 
+    def reversal_cut() -> bool:
+        a = part_of[anchor_out[0]]
+        b = part_of[anchor_out[0] ^ 1]
+        f = next(j for j, o in enumerate(anchor_out) if part_of[o ^ 1] == a)
+        h = next(j for j, o in enumerate(anchor_out) if part_of[o] == b)
+        return f > h
+
     def assign(d: int) -> None:
         if deadline.hit or deadline.tick():
+            return
+        if d == anchor_depth and reversal_cut():
             return
         if d == n_darts:
             record()

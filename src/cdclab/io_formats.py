@@ -11,7 +11,7 @@ import json
 from typing import Any, Mapping
 
 from .cdc import CircuitDoubleCover, Edge
-from .errors import BadSelector, UnknownEdge
+from .errors import BadSelector, InvalidCover, UnknownEdge
 from .planar_map import PlanarMap, from_rotation
 from .surgery import Correspondence
 
@@ -112,8 +112,11 @@ def cover_from_json(data: Any,
     orientation = data.get("orientation")
     if orientation is None:
         return CircuitDoubleCover.build(parsed)
-    return CircuitDoubleCover.build(
-        parsed, [frozenset(p) for p in pairs(orientation)])
+    try:
+        return CircuitDoubleCover.build(
+            parsed, [frozenset(p) for p in pairs(orientation)])
+    except InvalidCover as exc:
+        raise BadSelector(f"cover/v1: {exc}") from exc
 
 
 def _edge_out(e: Edge, lab) -> list[int]:

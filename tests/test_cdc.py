@@ -1,5 +1,7 @@
 """Cover validation, enumeration, orientability, genus, translation."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ from cdclab.errors import (
     TimeBudgetExceeded,
     UnknownEdge,
 )
-from cdclab.planar_map import underlying_graph
+from cdclab.planar_map import SimpleGraph, normalize_edge, underlying_graph
 from cdclab.surgery import (
     complete_augmentation,
     complete_truncation,
@@ -190,6 +192,53 @@ def test_enumerators_agree_on_small_graphs(name, m):
     assert {c.canonical_form() for c in direct.covers} == \
         {c.canonical_form() for c in oracle.covers
          if c.orientation is not None}, name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["k4", "prism", "cube", "wheel:4",
+                                  "wheel:5", "k4^t"])
+def test_dart_search_is_label_independent(name, seed):
+    # the search order and the reversal cut both depend on the labels;
+    # the cover set must not
+    if name == "k4^t":
+        g = underlying_graph(complete_truncation(k4())[0])
+    else:
+        g = underlying_graph(select(name))
+    perm = list(range(g.n))
+    Random(seed).shuffle(perm)
+    g2 = SimpleGraph(g.n, frozenset(
+        normalize_edge(perm[u], perm[v]) for u, v in g.edges))
+    base = require_complete(enumerate_covers(g, max_edges=18))
+    moved = require_complete(enumerate_covers(g2, max_edges=18))
+    forms = {c.canonical_form() for c in moved.covers}
+    assert forms == {CircuitDoubleCover.build(
+        [[(perm[u], perm[v]) for u, v in c] for c in cover.circuits]
+    ).canonical_form() for cover in base.covers}
+    for cover in moved.covers:
+        assert validate_oriented_cover(
+            g2, cover, OrientedCover(cover.orientation)) == []
+    if len(g.edges) <= 10:
+        oracle = require_complete(enumerate_covers(g2, orientable_only=False))
+        assert forms == {c.canonical_form()
+                         for c in oracle.orientable_covers}
+
+
+def test_dart_search_node_counts():
+    # node counts are deterministic; the sorted edge order without the
+    # reversal cut took 84,973 nodes on wheel:6 and 20,790 on K4^t
+    wheel6 = enumerate_covers(underlying_graph(wheel(6)))
+    k4t = enumerate_covers(underlying_graph(complete_truncation(k4())[0]),
+                           max_edges=18)
+    assert wheel6.complete and len(wheel6.covers) == 250
+    assert k4t.complete and len(k4t.covers) == 1
+    assert wheel6.nodes <= 84_973 // 4
+    assert k4t.nodes <= 20_790 // 4
+
+
+def test_orientation_must_align_with_circuits():
+    triangles = [list(c) for c in facial_cover(k4()).circuits]
+    with pytest.raises(InvalidCover, match="1 orientation parts"):
+        CircuitDoubleCover.build(triangles[:2], [[(0, 1), (1, 2), (2, 0)]])
 
 
 def test_enumeration_is_deterministic():

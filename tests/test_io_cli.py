@@ -344,6 +344,9 @@ def test_json_top_level_must_be_object(tmp_path, capsys, argv, payload):
     {"circuits": [[[1, 2, 3]]]},
     {"circuits": [[[1, None]]]},
     {"circuits": [[[1, 2]]], "orientation": 5},
+    # two circuits, one orientation part
+    {"circuits": [[[1, 2], [2, 3], [1, 3]], [[1, 2], [2, 4], [1, 4]]],
+     "orientation": [[[1, 2], [2, 3], [3, 1]]]},
 ])
 def test_malformed_cover_rows_are_usage_errors(tmp_path, capsys, body):
     path = tmp_path / "cover.json"
