@@ -8,13 +8,19 @@ and a randomized-order test backs that choice empirically.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .errors import BadSelector, FaceNotInMap, NotApollonian
-from .planar_map import PlanarMap, SimpleGraph, dualize, underlying_graph
-from .surgery import augment_face
+from .errors import BadSelector, NotApollonian
+from .planar_map import (
+    PlanarMap,
+    SimpleGraph,
+    dualize,
+    from_rotation,
+    underlying_graph,
+)
 
 
 def _base() -> PlanarMap:
@@ -25,19 +31,20 @@ def _base() -> PlanarMap:
 def random_stacks(count: int, seed: int | None) -> list[int]:
     """A reproducible random stacking sequence of the given length.
 
-    Step ``i`` picks a face index uniformly from the current map's
-    canonical face order, so a (count, seed) pair names one network.
+    Stacking turns one triangle into three, so before step ``i`` the
+    network has ``4 + 2i`` faces, and step ``i`` draws its face index
+    uniformly from them.  A (count, seed) pair therefore names one
+    network, and no map is built to draw the sequence.
     """
     if count < 0:
         raise BadSelector(f"negative stack count {count}")
     rng = Random(seed)
-    m = _base()
-    seq: list[int] = []
-    for _ in range(count):
-        choice = rng.randrange(m.face_count)
-        seq.append(choice)
-        m, _ = augment_face(m, choice)
-    return seq
+    return [rng.randrange(4 + 2 * i) for i in range(count)]
+
+
+def _dart_key(u: int, v: int) -> tuple[int, int, bool]:
+    """Sort key of the dart u->v, in the dart order of ``from_rotation``."""
+    return (u, v, False) if u < v else (v, u, True)
 
 
 def generate_apollonian(
@@ -49,20 +56,41 @@ def generate_apollonian(
 
     ``stacks`` is either an explicit sequence of face indices (each
     indexing the canonical face order of the map at that step) or a
-    count, in which case faces are drawn from ``Random(seed)``.  The
-    empty sequence gives K4.
+    count, in which case faces are drawn by :func:`random_stacks`.  The
+    empty sequence gives K4, and vertices are labelled ``1..n`` in the
+    order they were planted.
+
+    The result equals a chain of :func:`~cdclab.surgery.augment_face`
+    calls, but the network grows in one rotation table and is built
+    once at the end, with no per-step 3-connectivity check (stacking
+    into a face of a triangulation keeps it 3-connected).  Dart order,
+    and with it the canonical face order, depends only on endpoint
+    ids, which stacking never changes, so the faces are kept sorted by
+    the key of their smallest dart instead of being re-traced.  A new
+    triangle's smallest dart is the edge it keeps from the face it
+    replaces.
     """
     if isinstance(stacks, int):
         stacks = random_stacks(stacks, seed)
-    m = _base()
+    base = _base()
+    rotation = base.rotation_lists()
+    # (key of the smallest dart, boundary walk starting at that dart)
+    faces = [(_dart_key(*f.boundary[:2]), f.boundary) for f in base.faces]
     for step, choice in enumerate(stacks):
-        try:
-            m, _ = augment_face(m, choice)
-        except FaceNotInMap as exc:
+        if not (isinstance(choice, int) and 0 <= choice < len(faces)):
             raise BadSelector(
                 f"step {step}: face {choice} out of range "
-                f"(map has {m.face_count} faces)") from exc
-    return m
+                f"(map has {len(faces)} faces)")
+        _, walk = faces.pop(choice)
+        apex = len(rotation)
+        for i, v in enumerate(walk):
+            prev = walk[i - 1]
+            row = rotation[v]
+            row.insert(row.index(prev) + 1, apex)
+            insort(faces, (_dart_key(prev, v), (prev, v, apex)))
+        rotation.append(list(reversed(walk)))
+    return from_rotation({v + 1: [w + 1 for w in row]
+                          for v, row in enumerate(rotation)})
 
 
 def apollonian_dual(stacks: Sequence[int] | int, *,

@@ -22,11 +22,13 @@ from .apollonian import (
 )
 from .cdc import (
     DEFAULT_MAX_EDGES,
+    OrientedCover,
     check_orientability,
     enumerate_covers,
     genus,
     translate_cover,
     validate_cover,
+    validate_oriented_cover,
 )
 from .census import run_census
 from .corpus import select
@@ -221,8 +223,14 @@ def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
         except OddCharacteristic:
             body["chi"] = g.n - len(g.edges) + cover.k
             body["genus"] = None
+    passed = report.valid
+    if cover.orientation is not None:
+        problems = validate_oriented_cover(
+            g, cover, OrientedCover(cover.orientation))
+        body["orientation_problems"] = problems
+        passed = passed and not problems
     _emit(ns, report_to_json("cover-validation", body))
-    return EXIT_PASS if report.valid else EXIT_FAIL
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def _cmd_cdc_translate(ns: argparse.Namespace) -> int:

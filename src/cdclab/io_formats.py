@@ -54,7 +54,7 @@ def map_from_json(data: Any) -> PlanarMap:
     for row in rows:
         try:
             adjacency[int(row["id"])] = [int(x) for x in row["rotation"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadSelector(f"bad vertex row {row!r}") from exc
     if len(adjacency) != len(rows):
         raise BadSelector("duplicate vertex ids")
@@ -104,7 +104,7 @@ def cover_from_json(data: Any,
     def pairs(rows: Any) -> list[list[tuple[int, int]]]:
         try:
             return [[(vid(u), vid(v)) for u, v in row] for row in rows]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadSelector(
                 f"cover/v1 rows must be lists of [u, v] pairs: {exc}") from exc
 
@@ -177,7 +177,10 @@ def dumps(obj: Any) -> str:
 
 def load_path(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise BadSelector(f"{path}: JSON nested too deeply") from exc
 
 
 def read_map(path: str) -> PlanarMap:

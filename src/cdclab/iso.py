@@ -20,7 +20,7 @@ from .planar_map import (
     is_3_connected,
     normalize_edge,
 )
-from .surgery import complete_augmentation, complete_truncation
+from .surgery import _complete_augmentation, _complete_truncation
 
 _MAP_CODE_VERSION = b"M1"
 _GRAPH_CODE_VERSION = b"G1"
@@ -175,12 +175,16 @@ def verify_square(m: PlanarMap) -> SquareReport:
     faces of ``m`` pair the retained dual vertices with the face-faces
     of the truncation, and vertices of ``m`` pair the augmentation
     apexes with the corner cycles.
+
+    3-connectivity is checked once, on ``m``: the dual of a
+    3-connected planar map is 3-connected (Whitney), so both
+    surgeries run without their own checks.
     """
     if not is_3_connected(m):
         raise NotThreeConnected("the square is stated for 3-connected hosts")
     dual = dualize(m)
-    side_a, _ = complete_augmentation(dual)
-    t_map, t_corr = complete_truncation(m)
+    side_a, _ = _complete_augmentation(dual)
+    t_map, t_corr = _complete_truncation(m)
     side_b = dualize(t_map)
 
     code_a = map_canonical_code(side_a)

@@ -91,6 +91,11 @@ def complete_augmentation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
     triangle.  Apex for face ``i`` gets vertex id ``V + i``.
     """
     _require_3_connected(m)
+    return _complete_augmentation(m)
+
+
+def _complete_augmentation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
+    """:func:`complete_augmentation` on a host known to be 3-connected."""
     n = m.vertex_count
     rotations = m.rotation_lists()
 
@@ -193,6 +198,11 @@ def complete_truncation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
     order-invariance against sequential truncation is checked by test.
     """
     _require_3_connected(m)
+    return _complete_truncation(m)
+
+
+def _complete_truncation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
+    """:func:`complete_truncation` on a host known to be 3-connected."""
     sigma = m.sigma
     sigma_inv = [0] * m.dart_count
     for d, e in enumerate(sigma):
@@ -222,7 +232,9 @@ def complete_truncation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
 
     face_sets = {frozenset(f.boundary): f.index for f in out.faces}
     if len(face_sets) != out.face_count:
-        raise AssertionError("face vertex sets collide; host not 3-connected?")
+        raise NotThreeConnected(
+            "face vertex sets of the truncation collide; "
+            "the host is not 3-connected")
     face_faces: dict[int, int] = {}
     for face in m.faces:
         support = frozenset(face.darts) | frozenset(

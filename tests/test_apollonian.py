@@ -1,5 +1,6 @@
 """Apollonian generation, recognition, and the edge classification."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,8 +15,9 @@ from cdclab.apollonian import (
     random_stacks,
     separating_triangles,
 )
-from cdclab.corpus import cube, k4, octahedron
+from cdclab.corpus import cube, default_census_corpus, k4, octahedron, select
 from cdclab.errors import BadSelector, NotApollonian
+from cdclab.iso import map_canonical_code
 from cdclab.planar_map import (
     SimpleGraph,
     is_3_connected,
@@ -51,6 +53,52 @@ def test_random_stacks_reproducible():
 def test_bad_face_index_is_reported_with_step():
     with pytest.raises(BadSelector):
         generate_apollonian([99])
+    with pytest.raises(BadSelector, match=r"^step 1: face 6 out of range "
+                                          r"\(map has 6 faces\)$"):
+        generate_apollonian([0, 6])
+    with pytest.raises(BadSelector, match=r"^step 0: face -1 out of range "
+                                          r"\(map has 4 faces\)$"):
+        generate_apollonian([-1])
+
+
+# SHA-256 over the canonical code, rotation lists and labels of every
+# default-corpus selector and of generate_apollonian(20, seed=s) for
+# s in 0..99, as built by chained augment_face calls.  A change here
+# means an ``apollonian:<seq>`` selector or a (count, seed) pair now
+# names a different map.
+GOLDEN_DIGEST = (
+    "458a6c08e2539b146fa483ea51dab8774145f2fe1f6995efc76821f85be61e0a")
+
+
+def test_generated_maps_match_golden_digest():
+    digest = hashlib.sha256()
+
+    def feed(name, m):
+        digest.update(name.encode())
+        digest.update(map_canonical_code(m))
+        digest.update(repr(m.rotation_lists()).encode())
+        digest.update(repr(m.labels).encode())
+
+    for name in default_census_corpus():
+        feed(name, select(name))
+    for seed in range(100):
+        feed(f"stacks:20:{seed}", generate_apollonian(20, seed=seed))
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_generation_matches_chained_augment_face():
+    # The slow path: one augment_face per step, each re-checking
+    # 3-connectivity, with faces drawn from the map's own face count.
+    for seed in range(100):
+        rng = random.Random(seed)
+        m, seq = k4(), []
+        for count in range(13):
+            assert random_stacks(count, seed) == seq
+            assert generate_apollonian(seq) == m
+            assert generate_apollonian(count, seed=seed) == m
+            assert is_3_connected(m)
+            seq.append(rng.randrange(m.face_count))
+            m, _ = augment_face(m, seq[-1])
 
 
 def test_is_apollonian_accepts_generated_networks():

@@ -230,6 +230,28 @@ def test_validate_flags_bad_cover(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_validate_checks_orientation_rows(tmp_path, capsys):
+    doc = cover_to_json(facial_cover(k4()), "k4", k4())
+    witness = tmp_path / "good.json"
+    witness.write_text(dumps(doc))
+    code, out, _ = run_cli(capsys, "cdc", "validate", "k4",
+                           "--cover", str(witness))
+    assert code == 0
+    assert json.loads(out)["orientation_problems"] == []
+
+    # every part is the same unbalanced arc set 1->2, 2->3, 1->3
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(
+        {**doc, "orientation": [[[1, 2], [2, 3], [1, 3]]] * 4}))
+    code, out, _ = run_cli(capsys, "cdc", "validate", "k4",
+                           "--cover", str(bad))
+    assert code == 1
+    body = json.loads(out)
+    assert body["valid"] is True
+    assert body["orientation_problems"]
+    assert any("unbalanced" in p for p in body["orientation_problems"])
+
+
 def test_enumerate_respects_edge_budget(capsys):
     code, _, err = run_cli(capsys, "cdc", "enumerate", "cube",
                            "--max-edges", "4")
@@ -331,7 +353,10 @@ def assert_one_line_usage_error(code, err):
     ["cdc", "validate", "k4", "--cover", "{path}"],
     ["apollonian", "check", "{path}"],
 ])
-@pytest.mark.parametrize("payload", ["[1, 2]", "3", "null", '"map"'])
+@pytest.mark.parametrize("payload", [
+    "[1, 2]", "3", "null", '"map"',
+    # nested past the recursion limit of the JSON decoder
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep")])
 def test_json_top_level_must_be_object(tmp_path, capsys, argv, payload):
     path = tmp_path / "doc.json"
     path.write_text(payload)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdclab.corpus import cube, k4, octahedron, prism, wheel
-from cdclab.errors import TooLarge
+from cdclab.errors import NotThreeConnected, TooLarge
 from cdclab.iso import (
     cross_check_isomorphism,
     graph_canonical_code,
@@ -133,6 +133,12 @@ def test_verify_square_on_corpus(name, m):
     assert report.phi_valid, name
     assert report.passed, name
     assert report.code_a == report.code_b, name
+
+
+def test_verify_square_requires_3_connected():
+    square = from_rotation({1: [2, 4], 2: [3, 1], 3: [4, 2], 4: [1, 3]})
+    with pytest.raises(NotThreeConnected):
+        verify_square(square)
 
 
 def test_verify_square_on_random_apollonian():

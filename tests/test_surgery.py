@@ -172,6 +172,8 @@ def test_surgery_requires_3_connected():
         augment_face(square, 0)
     with pytest.raises(NotThreeConnected):
         complete_truncation(square)
+    with pytest.raises(NotThreeConnected):
+        complete_augmentation(square)
 
 
 def test_augment_then_check_inherited_edges_are_preserved():
