@@ -10,9 +10,9 @@ partitions edge slots instead and decides orientability afterwards.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CorrespondenceMismatch,
@@ -20,6 +20,7 @@ from .errors import (
     InvalidCover,
     OddCharacteristic,
     TimeBudgetExceeded,
+    TranslationNotACover,
     UnknownEdge,
 )
 from .planar_map import PlanarMap, SimpleGraph, alpha, normalize_edge
@@ -110,6 +111,21 @@ def _check_known_edges(g: SimpleGraph, edges: Iterable[Edge]) -> list[str]:
             for e in sorted(set(edges)) if e not in g.edges]
 
 
+def _circuit_report(circuit: frozenset[Edge]) -> CircuitReport:
+    """Evenness and connectivity of a normalized edge set."""
+    if not circuit:
+        return CircuitReport(False, False, ("empty edge set",))
+    adj = _adjacency(circuit)
+    odd = [v for v, nbrs in adj.items() if len(nbrs) % 2]
+    problems = [f"odd degree {len(adj[v])} at vertex {v}"
+                for v in sorted(odd)]
+    if not _connected(adj):
+        problems.append("edge set is not connected")
+    valid = not problems
+    is_cycle = valid and all(len(nbrs) == 2 for nbrs in adj.values())
+    return CircuitReport(valid, is_cycle, tuple(problems))
+
+
 def validate_circuit(g: SimpleGraph, edges: Iterable[Sequence[int]]
                      ) -> CircuitReport:
     """Check that an edge set is an even connected subgraph.
@@ -118,38 +134,9 @@ def validate_circuit(g: SimpleGraph, edges: Iterable[Sequence[int]]
     degree exactly two.  Unknown edges raise :class:`UnknownEdge`.
     """
     circuit = _normalize_circuit(edges)
-    unknown = _check_known_edges(g, circuit)
-    if unknown:
-        raise UnknownEdge("; ".join(unknown))
-    if not circuit:
-        return CircuitReport(False, False, ("empty edge set",))
-
-    degree: Counter[int] = Counter()
-    for u, v in circuit:
-        degree[u] += 1
-        degree[v] += 1
-    problems = [f"odd degree {d} at vertex {v}"
-                for v, d in sorted(degree.items()) if d % 2]
-
-    touched = sorted(degree)
-    adj: dict[int, list[int]] = {v: [] for v in touched}
-    for u, v in circuit:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {touched[0]}
-    queue = deque([touched[0]])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != len(touched):
-        problems.append("edge set is not connected")
-
-    valid = not problems
-    is_cycle = valid and all(d == 2 for d in degree.values())
-    return CircuitReport(valid, is_cycle, tuple(problems))
+    if not circuit <= g.edges:
+        raise UnknownEdge("; ".join(_check_known_edges(g, circuit)))
+    return _circuit_report(circuit)
 
 
 def validate_cover(g: SimpleGraph,
@@ -157,31 +144,35 @@ def validate_cover(g: SimpleGraph,
                    ) -> CoverReport:
     """Check the double-cover law: every edge in exactly two circuits.
 
-    Never raises; failures come back as diagnostics.
+    Each circuit is normalized once; the unknown-edge and per-edge
+    diagnostics are built only when something is wrong.  Never raises;
+    failures come back as diagnostics.
     """
     sets = [_normalize_circuit(c) for c in circuits]
     problems: list[str] = []
     reports: list[CircuitReport] = []
     for i, c in enumerate(sets):
-        unknown = _check_known_edges(g, c)
-        if unknown:
-            reports.append(CircuitReport(False, False, tuple(unknown)))
+        if c <= g.edges:
+            rep = _circuit_report(c)
+            if not rep.valid:
+                problems.append(f"circuit {i}: " + "; ".join(rep.problems))
+        else:
+            rep = CircuitReport(False, False,
+                                tuple(_check_known_edges(g, c)))
             problems.append(f"circuit {i}: unknown edges")
-            continue
-        rep = validate_circuit(g, c)
         reports.append(rep)
-        if not rep.valid:
-            problems.append(f"circuit {i}: " + "; ".join(rep.problems))
 
     multiplicity: Counter[Edge] = Counter()
     for c in sets:
         multiplicity.update(c)
-    for e in sorted(g.edges):
-        seen = multiplicity.get(e, 0)
-        if seen != 2:
-            problems.append(f"edge {e} covered {seen} times, need 2")
-    for e in sorted(set(multiplicity) - g.edges):
-        problems.append(f"edge {e} not in host graph")
+    if multiplicity.keys() != g.edges or \
+            any(m != 2 for m in multiplicity.values()):
+        for e in sorted(g.edges):
+            seen = multiplicity.get(e, 0)
+            if seen != 2:
+                problems.append(f"edge {e} covered {seen} times, need 2")
+        for e in sorted(set(multiplicity) - g.edges):
+            problems.append(f"edge {e} not in host graph")
 
     valid = not problems
     is_cycle_cover = valid and all(r.is_cycle for r in reports)
@@ -209,40 +200,6 @@ class OrientedCover:
     parts: tuple[frozenset[Arc], ...]
 
 
-def _balanced_orientations(circuit: Sequence[Edge],
-                           forced: Mapping[Edge, Arc]):
-    """Yield arc sets giving every vertex equal in/out degree.
-
-    ``forced`` pins arcs for edges already oriented by the partner
-    circuit (which must run through them the opposite way).
-    """
-    imbalance: Counter[int] = Counter()
-    arcs: list[Arc] = []
-
-    def extend(i: int):
-        if i == len(circuit):
-            if not any(imbalance.values()):
-                yield frozenset(arcs)
-            return
-        u, v = circuit[i]
-        choices = ((u, v), (v, u))
-        if circuit[i] in forced:
-            choices = (forced[circuit[i]],)
-        remaining = len(circuit) - i - 1
-        for a, b in choices:
-            imbalance[a] += 1
-            imbalance[b] -= 1
-            arcs.append((a, b))
-            # Each later edge can change a vertex imbalance by one.
-            if sum(map(abs, imbalance.values())) <= 2 * remaining:
-                yield from extend(i + 1)
-            arcs.pop()
-            imbalance[a] -= 1
-            imbalance[b] += 1
-
-    yield from extend(0)
-
-
 def check_orientability(g: SimpleGraph,
                         cover: CircuitDoubleCover | Iterable[Iterable[Sequence[int]]]
                         ) -> OrientedCover | None:
@@ -250,40 +207,121 @@ def check_orientability(g: SimpleGraph,
 
     Returns a witness, or None when the cover admits none.  Invalid
     covers are rejected with :class:`InvalidCover`.
+
+    Each edge has one unknown, its direction in the first circuit
+    holding it; the second runs it backwards.  Where a circuit has
+    degree 2, one edge leaves: an XOR constraint, applied by a parity
+    union-find (a contradiction means no witness).  Where it has degree
+    2m >= 4, m edges leave; only these constraints are searched,
+    iteratively, over the union-find roots they touch.  The witness is
+    the least solution in edge order (circuits in order, edges sorted,
+    an edge's first circuit leaving its smaller end first).
     """
     if not isinstance(cover, CircuitDoubleCover):
         cover = CircuitDoubleCover.build(cover)
     report = validate_cover(g, cover.circuits)
     if not report.valid:
         raise InvalidCover("; ".join(report.problems))
+    parts = _orientation(cover.circuits)
+    return None if parts is None else OrientedCover(parts)
 
-    circuits = [sorted(c) for c in cover.circuits]
-    chosen: list[frozenset[Arc]] = []
-    oriented_by: dict[Edge, Arc] = {}
 
-    def solve(i: int) -> bool:
-        if i == len(circuits):
-            return True
-        forced = {e: (oriented_by[e][1], oriented_by[e][0])
-                  for e in circuits[i] if e in oriented_by}
-        for arcs in _balanced_orientations(circuits[i], forced):
-            added = []
-            for u, v in arcs:
-                e = normalize_edge(u, v)
-                if e not in oriented_by:
-                    oriented_by[e] = (u, v)
-                    added.append(e)
-            chosen.append(arcs)
-            if solve(i + 1):
-                return True
-            chosen.pop()
-            for e in added:
-                del oriented_by[e]
-        return False
+def _orientation(circuits: Sequence[frozenset[Edge]],
+                 deadline: _Deadline | None = None
+                 ) -> tuple[frozenset[Arc], ...] | None:
+    """The witness parts of :func:`check_orientability`, or None.
 
-    if solve(0):
-        return OrientedCover(tuple(chosen))
-    return None
+    Edge ids follow first appearance, and x_e = 1 when e's first
+    circuit runs it from its larger end.  Each union-find class is
+    rooted at its least edge, so trying 0 before 1 in root order finds
+    the least solution.  With ``deadline``, raises
+    :class:`TimeBudgetExceeded` once the budget has run out.
+    """
+    edge_id: dict[Edge, int] = {}
+    parent: list[int] = []
+    parity: list[int] = []      # x_e xor x_parent
+    rows = []                   # per circuit: (edge, id, runs it back)
+
+    def find(x: int) -> tuple[int, int]:
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        p = 0
+        for y in reversed(path):
+            p ^= parity[y]
+            parity[y] = p
+            parent[y] = x
+        return x, p
+
+    wide: list[list[tuple[int, int]]] = []
+    for circuit in circuits:
+        # per vertex: (edge, c) with "the edge leaves here" = x_e ^ c
+        at: dict[int, list[tuple[int, int]]] = {}
+        row = []
+        for e in sorted(circuit):
+            back = e in edge_id
+            eid = edge_id.setdefault(e, len(parent))
+            if not back:
+                parent.append(eid)
+                parity.append(0)
+            row.append((e, eid, back))
+            at.setdefault(e[0], []).append((eid, 1 ^ back))
+            at.setdefault(e[1], []).append((eid, back))
+        rows.append(row)
+        for lits in at.values():
+            if len(lits) > 2:
+                wide.append(lits)
+                continue
+            (a, ca), (b, cb) = lits
+            (ra, pa), (rb, pb) = find(a), find(b)
+            d = pa ^ pb ^ 1 ^ ca ^ cb
+            if ra == rb:
+                if d:
+                    return None
+            elif ra < rb:
+                parent[rb], parity[rb] = ra, d
+            else:
+                parent[ra], parity[ra] = rb, d
+
+    # constraint k needs need[k] more leaving edges among free[k] open
+    need = [len(lits) // 2 for lits in wide]
+    free = [len(lits) for lits in wide]
+    occ: dict[int, list[tuple[int, int]]] = {}
+    for k, lits in enumerate(wide):
+        for eid, c in lits:
+            r, p = find(eid)
+            occ.setdefault(r, []).append((k, p ^ c))
+    order = sorted(occ)
+
+    def place(r: int, x: int, sign: int) -> bool:
+        ok = True
+        for k, q in occ[r]:
+            free[k] -= sign
+            need[k] -= sign * (x ^ q)
+            ok = ok and 0 <= need[k] <= free[k]
+        return ok
+
+    tried = [0] * len(order)    # values tried at each depth
+    depth = 0
+    while 0 <= depth < len(order):
+        if deadline is not None and deadline.late():
+            raise TimeBudgetExceeded("orientation search ran out of time")
+        r, t = order[depth], tried[depth]
+        if t:
+            place(r, t - 1, -1)
+        tried[depth] = (t + 1) % 3
+        if t == 2:
+            depth -= 1
+        elif place(r, t, 1):
+            depth += 1
+    if depth < 0:
+        return None
+
+    value = {r: t - 1 for r, t in zip(order, tried)}
+    x = [value.get(r, 0) ^ p for r, p in map(find, range(len(parent)))]
+    return tuple(frozenset((e[1], e[0]) if x[eid] ^ back else e
+                           for e, eid, back in row) for row in rows)
 
 
 def validate_oriented_cover(g: SimpleGraph, cover: CircuitDoubleCover,
@@ -292,7 +330,6 @@ def validate_oriented_cover(g: SimpleGraph, cover: CircuitDoubleCover,
     problems: list[str] = []
     if len(witness.parts) != cover.k:
         return ["wrong number of parts"]
-    arc_count: Counter[Edge] = Counter()
     for i, (circuit, arcs) in enumerate(zip(cover.circuits, witness.parts)):
         if {normalize_edge(u, v) for u, v in arcs} != circuit:
             problems.append(f"part {i} does not orient its circuit")
@@ -300,13 +337,10 @@ def validate_oriented_cover(g: SimpleGraph, cover: CircuitDoubleCover,
         for u, v in arcs:
             imbalance[u] += 1
             imbalance[v] -= 1
-            arc_count[normalize_edge(u, v)] += 1
         bad = [v for v, x in imbalance.items() if x]
         if bad:
             problems.append(f"part {i} unbalanced at {sorted(bad)}")
-    seen_arcs: set[Arc] = set()
-    for part in witness.parts:
-        seen_arcs |= part
+    seen_arcs: set[Arc] = set().union(*witness.parts)
     for e in g.edges:
         u, v = e
         if not ((u, v) in seen_arcs and (v, u) in seen_arcs):
@@ -392,12 +426,18 @@ class _Deadline:
         self.limit_reached = False
 
     def tick(self) -> bool:
-        """Count a node; True when the budget has just run out."""
+        """Count a node; True when the search must stop."""
         self.nodes += 1
-        if self.at is not None and self.nodes % 512 == 0 \
-                and time.monotonic() > self.at:
-            self.hit = True
+        if self.nodes % 512 == 0:
+            self.late()
         return self.hit
+
+    def late(self) -> bool:
+        """True (and the stop flag set) once the time budget is spent."""
+        if self.at is not None and time.monotonic() > self.at:
+            self.hit = True
+            return True
+        return False
 
     def record(self, found: dict[tuple, CircuitDoubleCover],
                cover: CircuitDoubleCover) -> None:
@@ -408,22 +448,23 @@ class _Deadline:
             self.hit = self.limit_reached = True
 
 
-def _edge_connected(edges: list[Edge]) -> bool:
-    if not edges:
-        return False
+def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    start = edges[0][0]
+    return adj
+
+
+def _connected(adj: dict[int, list[int]]) -> bool:
+    start = next(iter(adj))
     seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
             if y not in seen:
                 seen.add(y)
-                queue.append(y)
+                stack.append(y)
     return len(seen) == len(adj)
 
 
@@ -516,7 +557,7 @@ def _enumerate_oriented(g: SimpleGraph, deadline: _Deadline
         for p in sorted(groups):
             darts = groups[p]
             part = [(tail[d], head[d]) for d in darts]
-            if not _edge_connected(part):
+            if not _connected(_adjacency(part)):
                 return
             circuits.append([normalize_edge(u, v) for u, v in part])
             orientation.append(part)
@@ -592,17 +633,20 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
                    ) -> dict[tuple, CircuitDoubleCover]:
     """Backtrack over edge slots; yields every cover, unoriented.
 
-    Each edge contributes two slots going to two distinct parts
+    Edges come in :func:`_search_order`, which completes vertices
+    early.  Each edge contributes two slots going to two distinct parts
     (restricted growth, ordered pairs).  Pruning: at each vertex the
     number of odd-degree parts cannot exceed twice the unassigned
-    incident edge count.  Evenness is then automatic at completion;
+    incident edge count.  Every part keeps a bitmask of its odd-degree
+    vertices, so the change a pair of parts makes to that number at
+    both ends is read off before anything is mutated, and only pairs
+    that pass are placed.  Evenness is then automatic at completion;
     connectivity is checked per part.
     """
-    edges = sorted(g.edges)
+    edges = _search_order(g)
     n_edges = len(edges)
 
-    slot_parts: list[tuple[int, int]] = []
-    part_odd: list[set[int]] = []       # vertices with odd degree in part
+    part_odd: list[int] = []            # bitmask of odd-degree vertices
     part_members: list[list[int]] = []  # edge indices per part
     odd_count = [0] * g.n
     rem_e = [g.degree(v) for v in range(g.n)]
@@ -613,20 +657,10 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
         circuits = []
         for members in part_members:
             part = [edges[i] for i in members]
-            if not _edge_connected(part):
+            if not _connected(_adjacency(part)):
                 return
             circuits.append(part)
         deadline.record(found, CircuitDoubleCover.build(circuits))
-
-    def flip(p: int, u: int, v: int) -> None:
-        for x in (u, v):
-            odd = part_odd[p]
-            if x in odd:
-                odd.remove(x)
-                odd_count[x] -= 1
-            else:
-                odd.add(x)
-                odd_count[x] += 1
 
     def assign(i: int) -> None:
         if deadline.hit or deadline.tick():
@@ -635,33 +669,43 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
             record()
             return
         u, v = edges[i]
+        bu, bv = 1 << u, 1 << v
         rem_e[u] -= 1
         rem_e[v] -= 1
+        # how far the odd-part count may still rise at u and at v
+        room_u = 2 * rem_e[u] - odd_count[u]
+        room_v = 2 * rem_e[v] - odd_count[v]
         n_parts = len(part_members)
+        # taking the edge makes a part odd (+1) or even (-1) at u, v;
+        # the two trailing entries are fresh parts
+        du = [-1 if m & bu else 1 for m in part_odd] + [1, 1]
+        dv = [-1 if m & bv else 1 for m in part_odd] + [1, 1]
         for pa in range(n_parts + 1):
             pb_limit = n_parts + (2 if pa == n_parts else 1)
             for pb in range(pa + 1, pb_limit):
-                while len(part_members) < max(pa, pb) + 1:
+                su = du[pa] + du[pb]
+                sv = dv[pa] + dv[pb]
+                if su > room_u or sv > room_v:
+                    continue
+                for _ in range(pb + 1 - len(part_members)):
                     part_members.append([])
-                    part_odd.append(set())
-                flip(pa, u, v)
-                flip(pb, u, v)
-                if odd_count[u] <= 2 * rem_e[u] and \
-                        odd_count[v] <= 2 * rem_e[v]:
-                    slot_parts.append((pa, pb))
-                    part_members[pa].append(i)
-                    part_members[pb].append(i)
+                    part_odd.append(0)
+                part_odd[pa] ^= bu | bv
+                part_odd[pb] ^= bu | bv
+                odd_count[u] += su
+                odd_count[v] += sv
+                part_members[pa].append(i)
+                part_members[pb].append(i)
 
-                    assign(i + 1)
+                assign(i + 1)
 
-                    part_members[pb].pop()
-                    part_members[pa].pop()
-                    slot_parts.pop()
-                flip(pb, u, v)
-                flip(pa, u, v)
-                while part_members and not part_members[-1]:
-                    part_members.pop()
-                    part_odd.pop()
+                part_members[pb].pop()
+                part_members[pa].pop()
+                odd_count[u] -= su
+                odd_count[v] -= sv
+                part_odd[pb] ^= bu | bv
+                part_odd[pa] ^= bu | bv
+                del part_members[n_parts:], part_odd[n_parts:]
                 if deadline.hit:
                     break
             if deadline.hit:
@@ -687,7 +731,9 @@ def enumerate_covers(
     produced, each carrying a witness, via the dart-partition search.
     Otherwise ALL covers are produced by the slot-partition oracle and
     each cover's orientability is decided afterwards (witnesses are
-    attached where they exist).
+    attached where they exist).  That decision shares the time budget:
+    a cover still undecided when it runs out is left out of the result,
+    which is then not ``complete``.
 
     ``max_edges`` guards against oversized hosts (EdgeLimitExceeded);
     ``time_budget`` (seconds) turns long searches into flagged partial
@@ -711,9 +757,12 @@ def enumerate_covers(
         covers = []
         for key in sorted(found):
             cover = found[key]
-            witness = check_orientability(g, cover)
-            if witness is not None:
-                cover = CircuitDoubleCover(cover.circuits, witness.parts)
+            try:
+                parts = _orientation(cover.circuits, deadline)
+            except TimeBudgetExceeded:
+                continue
+            if parts is not None:
+                cover = CircuitDoubleCover(cover.circuits, parts)
             covers.append(cover)
     return EnumerationResult(
         covers=tuple(covers),
@@ -794,26 +843,17 @@ def translate_cover(
 
     w_vertex = {w: v for v, cycle in corr.vertex_faces.items() for w in cycle}
 
-    from .errors import TranslationNotACover
-
     images: list[frozenset[Edge]] = []
     kept: list[int] = []
     dropped: list[int] = []
-    cycle_flags: list[bool] = []
     parts: list[frozenset[Arc]] = []
     for i, circuit in enumerate(cover.circuits):
         image = frozenset(back[e] for e in circuit if e in back)
         if not image:
             dropped.append(i)
             continue
-        rep = validate_circuit(g, image)
-        if not rep.valid:
-            raise TranslationNotACover(
-                f"image of circuit {i} is not a circuit: "
-                + "; ".join(rep.problems))
         images.append(image)
         kept.append(i)
-        cycle_flags.append(rep.is_cycle)
         if cover.orientation is not None:
             arcs = frozenset(
                 (w_vertex[a], w_vertex[b])
@@ -822,6 +862,11 @@ def translate_cover(
             parts.append(arcs)
 
     out_report = validate_cover(g, images)
+    for i, rep in zip(kept, out_report.circuits):
+        if not rep.valid:
+            raise TranslationNotACover(
+                f"image of circuit {i} is not a circuit: "
+                + "; ".join(rep.problems))
     if not out_report.valid:
         raise TranslationNotACover("translated multiset is not a double "
                                    "cover: " + "; ".join(out_report.problems))
@@ -840,6 +885,6 @@ def translate_cover(
         cover=result,
         dropped=tuple(dropped),
         kept=tuple(kept[j] for j in order),
-        is_cycle=tuple(cycle_flags[j] for j in order),
+        is_cycle=tuple(out_report.circuits[j].is_cycle for j in order),
         oriented=result.orientation is not None,
     )

@@ -17,9 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 from .apollonian import is_apollonian
-from .cdc import DEFAULT_MAX_EDGES, enumerate_covers
+from .cdc import DEFAULT_MAX_EDGES, EnumerationResult, enumerate_covers
 from .corpus import default_census_corpus, select
-from .errors import BadEnvironment
+from .errors import BadEnvironment, EdgeLimitExceeded
 from .io_formats import report_to_json
 from .planar_map import dualize, underlying_graph
 
@@ -31,16 +31,20 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
 
     The search stops at two distinct covers.  An entry is decided when
     the search finished or reached those two covers; any unfinished
-    search reports its count as a lower bound.  Undecided entries get
-    an ``incomplete`` verdict and never count for or against the
+    search reports its count as a lower bound.  A graph over the edge
+    cap is not searched (0 covers, a lower bound).  Undecided entries
+    get an ``incomplete`` verdict and never count for or against the
     census.
     """
     start = time.monotonic()
     m = select(name)
     g = underlying_graph(m)
-    result = enumerate_covers(g, orientable_only=True,
-                              max_edges=max_edges, time_budget=time_budget,
-                              limit=2)
+    try:
+        result = enumerate_covers(g, orientable_only=True,
+                                  max_edges=max_edges,
+                                  time_budget=time_budget, limit=2)
+    except EdgeLimitExceeded:
+        result = EnumerationResult((), False, True, 0.0, 0)
     dual_apollonian = is_apollonian(underlying_graph(dualize(m)))
     count = len(result.covers)
     if not (result.complete or result.limit_reached):

@@ -338,16 +338,18 @@ def _budget(text: str) -> float:
     return value
 
 
-def _workers(text: str) -> int:
-    """A worker count: an integer of at least one."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"need an integer >= 1, got {text!r}")
-    return value
+def _at_least(least: int):
+    """An argparse type for integers of at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"need an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="orientable covers only (default)")
     pe.add_argument("--all", action="store_true",
                     help="all covers, orientability decided per cover")
-    pe.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    pe.add_argument("--max-edges", type=_at_least(0),
+                    default=DEFAULT_MAX_EDGES)
     pe.add_argument("--budget", type=_budget, default=None,
                     help="time budget in seconds")
     add_out(pe)
@@ -442,10 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="orientable-cover census")
     p.add_argument("--corpus", help="comma-separated selectors")
-    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
+    p.add_argument("--max-edges", type=_at_least(0),
+                   default=DEFAULT_MAX_EDGES)
     p.add_argument("--budget", type=_budget, default=None,
                    help="time budget in seconds per entry")
-    p.add_argument("--workers", type=_workers, default=None)
+    p.add_argument("--workers", type=_at_least(1), default=None)
     add_out(p)
     p.set_defaults(func=_cmd_census)
 

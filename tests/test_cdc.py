@@ -1,13 +1,23 @@
 """Cover validation, enumeration, orientability, genus, translation."""
 
+import hashlib
+import time
+from collections import Counter, deque
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdclab.apollonian import (
+    apollonian_dual,
+    generate_apollonian,
+    random_stacks,
+)
 from cdclab.cdc import (
     CircuitDoubleCover,
+    CircuitReport,
+    CoverReport,
     OrientedCover,
     check_orientability,
     enumerate_covers,
@@ -62,6 +72,14 @@ def _k222_walk_cover(m):
         circuits.append([(lab[w[i]], lab[w[(i + 1) % len(w)]])
                          for i in range(len(w))])
     return CircuitDoubleCover.build(circuits)
+
+
+def _relabel(g, seed):
+    """A seeded random relabelling of ``g``, and the permutation."""
+    perm = list(range(g.n))
+    Random(seed).shuffle(perm)
+    return SimpleGraph(g.n, frozenset(
+        normalize_edge(perm[u], perm[v]) for u, v in g.edges)), perm
 
 
 def test_triangle_is_a_cycle():
@@ -204,10 +222,7 @@ def test_dart_search_is_label_independent(name, seed):
         g = underlying_graph(complete_truncation(k4())[0])
     else:
         g = underlying_graph(select(name))
-    perm = list(range(g.n))
-    Random(seed).shuffle(perm)
-    g2 = SimpleGraph(g.n, frozenset(
-        normalize_edge(perm[u], perm[v]) for u, v in g.edges))
+    g2, perm = _relabel(g, seed)
     base = require_complete(enumerate_covers(g, max_edges=18))
     moved = require_complete(enumerate_covers(g2, max_edges=18))
     forms = {c.canonical_form() for c in moved.covers}
@@ -414,3 +429,228 @@ def test_cubic_orientable_covers_have_genus(name):
         gr = genus(g, cover)
         assert gr.chi % 2 == 0
         assert gr.genus >= 0
+
+
+# -- the slot oracle, orientability and validation, pinned ---------------
+
+ORACLE_HOSTS = ["k4", "prism", "cube", "wheel:4", "wheel:5", "wheel:6",
+                "octahedron"]
+RELABELLED_HOSTS = ORACLE_HOSTS[:5]
+# every oracle cover of every host above, with its witness (None when
+# not orientable), as computed by the sorted-order slot search and the
+# per-circuit orientation search they replaced; the witness pins the
+# orientation rows that `cdc enumerate --all` writes
+ORACLE_GOLDEN = \
+    "d65593e836ed89d5a32b78acf3d1c421b3557f779b2802fb03d29bb958f8e87c"
+
+
+def test_oracle_matches_golden_digest():
+    sha = hashlib.sha256()
+    for name in ORACLE_HOSTS:
+        g = underlying_graph(select(name))
+        seeds = [None, 0, 1] if name in RELABELLED_HOSTS else [None]
+        for seed in seeds:
+            host = g if seed is None else _relabel(g, seed)[0]
+            result = require_complete(
+                enumerate_covers(host, orientable_only=False))
+            sha.update(f"{name} {seed}\n".encode())
+            for cover in result.covers:
+                witness = cover.orientation and tuple(
+                    tuple(sorted(part)) for part in cover.orientation)
+                sha.update(f"{cover.canonical_form()} {witness}\n".encode())
+                if witness:
+                    assert validate_oriented_cover(
+                        host, cover, OrientedCover(cover.orientation)) == []
+    assert sha.hexdigest() == ORACLE_GOLDEN
+
+
+def _orientable_by_brute_force(cover):
+    """Try every direction of every edge in the first circuit holding
+    it (the other circuit runs it backwards)."""
+    holders: dict = {}
+    for i, circuit in enumerate(cover.circuits):
+        for e in circuit:
+            holders.setdefault(e, []).append(i)
+    edges = sorted(holders)
+    for bits in range(1 << len(edges)):
+        imbalance = [Counter() for _ in cover.circuits]
+        for j, (u, v) in enumerate(edges):
+            a, b = (u, v) if bits >> j & 1 else (v, u)
+            first, second = holders[(u, v)]
+            imbalance[first][a] += 1
+            imbalance[first][b] -= 1
+            imbalance[second][b] += 1
+            imbalance[second][a] -= 1
+        if not any(any(part.values()) for part in imbalance):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["k4", "prism", "wheel:4", "wheel:5"])
+def test_orientability_matches_brute_force(name):
+    g = underlying_graph(select(name))
+    assert len(g.edges) <= 10
+    covers = require_complete(
+        enumerate_covers(g, orientable_only=False)).covers
+    for cover in covers:
+        witness = check_orientability(g, cover)
+        assert (witness is not None) == _orientable_by_brute_force(cover)
+        assert (witness is not None) == (cover.orientation is not None)
+        if witness is not None:
+            assert validate_oriented_cover(g, cover, witness) == []
+
+
+def test_oracle_node_counts():
+    # the slot oracle in sorted edge order took 28,320 nodes on wheel:6
+    result = enumerate_covers(underlying_graph(wheel(6)),
+                              orientable_only=False)
+    assert result.complete and len(result.covers) == 458
+    assert len(result.orientable_covers) == 250
+    assert result.nodes <= 28_320 // 4
+
+
+@pytest.mark.parametrize("name,build", [
+    ("dual of 100 stacks", lambda: apollonian_dual(random_stacks(100, 0))),
+    ("600 stacks", lambda: generate_apollonian(600, seed=0)),
+])
+def test_large_facial_covers_are_orientable(name, build):
+    # long circuits (the dual's longest has 36 edges) and over a
+    # thousand circuits: neither may cost exponential time or
+    # recursion depth
+    m = build()
+    g = underlying_graph(m)
+    cover = CircuitDoubleCover.build(facial_cover(m).circuits)
+    start = time.perf_counter()
+    witness = check_orientability(g, cover)
+    elapsed = time.perf_counter() - start
+    assert witness is not None, name
+    assert validate_oriented_cover(g, cover, witness) == [], name
+    assert elapsed < 1.0, name
+
+
+def test_oracle_budget_bounds_the_orientability_phase():
+    budget = 0.5
+    g = underlying_graph(wheel(40))
+    start = time.monotonic()
+    result = enumerate_covers(g, orientable_only=False, max_edges=10**6,
+                              time_budget=budget)
+    assert time.monotonic() - start < 6 * budget
+    assert not result.complete
+    # a cover whose verdict the budget cut off is dropped, never
+    # returned as non-orientable
+    for cover in result.covers:
+        assert (check_orientability(g, cover) is not None) == \
+            (cover.orientation is not None)
+
+
+def _reference_validate_circuit(g, circuit):
+    degree = Counter()
+    for u, v in circuit:
+        degree[u] += 1
+        degree[v] += 1
+    problems = [f"odd degree {d} at vertex {v}"
+                for v, d in sorted(degree.items()) if d % 2]
+    touched = sorted(degree)
+    adj = {v: [] for v in touched}
+    for u, v in circuit:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {touched[0]}
+    queue = deque([touched[0]])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    if len(seen) != len(touched):
+        problems.append("edge set is not connected")
+    valid = not problems
+    is_cycle = valid and all(d == 2 for d in degree.values())
+    return CircuitReport(valid, is_cycle, tuple(problems))
+
+
+def _reference_validate_cover(g, circuits):
+    """The cover validator as it stood before its fast path."""
+    sets = [frozenset(normalize_edge(u, v) for u, v in c) for c in circuits]
+    problems = []
+    reports = []
+    for i, c in enumerate(sets):
+        unknown = [f"edge {e} not in host graph"
+                   for e in sorted(c) if e not in g.edges]
+        if unknown:
+            reports.append(CircuitReport(False, False, tuple(unknown)))
+            problems.append(f"circuit {i}: unknown edges")
+            continue
+        if not c:
+            rep = CircuitReport(False, False, ("empty edge set",))
+        else:
+            rep = _reference_validate_circuit(g, c)
+        reports.append(rep)
+        if not rep.valid:
+            problems.append(f"circuit {i}: " + "; ".join(rep.problems))
+    multiplicity = Counter()
+    for c in sets:
+        multiplicity.update(c)
+    for e in sorted(g.edges):
+        seen = multiplicity.get(e, 0)
+        if seen != 2:
+            problems.append(f"edge {e} covered {seen} times, need 2")
+    for e in sorted(set(multiplicity) - g.edges):
+        problems.append(f"edge {e} not in host graph")
+    valid = not problems
+    is_cycle_cover = valid and all(r.is_cycle for r in reports)
+    return CoverReport(valid, is_cycle_cover, tuple(reports),
+                       tuple(problems))
+
+
+def _validation_inputs():
+    """(host, circuits) pairs: valid covers and every defect above."""
+    k4_graph = underlying_graph(k4())
+    triangles = [sorted(c) for c in facial_cover(k4()).circuits]
+    octa = octahedron()
+    octa_graph = underlying_graph(octa)
+    faces = octa.faces
+    disjoint = next((x, y) for x in faces for y in faces
+                    if not set(x.boundary) & set(y.boundary))
+    touching = next((x, y) for x in faces for y in faces
+                    if x.index < y.index
+                    and len(set(x.boundary) & set(y.boundary)) == 1)
+    octa_faces = [sorted(c) for c in facial_cover(octa).circuits]
+
+    def walk_edges(pair):
+        return [(octa.vertex_of[d], octa.vertex_of[d ^ 1])
+                for d in pair[0].darts + pair[1].darts]
+
+    w4 = underlying_graph(wheel(4))
+    inputs = [
+        (k4_graph, triangles),
+        (k4_graph, K4_HAMILTONIANS),
+        (k4_graph, [[(v, u) for u, v in c] for c in triangles]),
+        (k4_graph, triangles[:3]),
+        (k4_graph, triangles + triangles[:1]),
+        (k4_graph, [[(0, 1), (1, 2), (0, 2)]]),
+        (k4_graph, []),
+        (k4_graph, triangles[:3] + [[]]),
+        (k4_graph, triangles[:3] + [[(0, 1), (1, 2)]]),
+        (k4_graph, triangles + [[(0, 9)]]),
+        (k4_graph, triangles[:3] + [[(0, 1), (1, 9), (0, 9)]]),
+        (k4_graph, [[(0, 1), (1, 2), (0, 2), (2, 7)]] + triangles[1:]),
+        (octa_graph, octa_faces),
+        (octa_graph, _k222_walk_cover(octa).circuits),
+        (octa_graph, [walk_edges(disjoint)] + octa_faces),
+        (octa_graph, [walk_edges(touching)] + octa_faces[2:]),
+        (octa_graph, [sorted(octa_graph.edges)] * 2),
+        (w4, [[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)],
+              [(0, 1), (0, 4), (1, 4)], [(0, 2), (0, 3), (2, 3)],
+              [(1, 2), (1, 4), (2, 3), (3, 4)]]),
+    ]
+    for cover in enumerate_covers(w4, orientable_only=False).covers:
+        inputs.append((w4, cover.circuits))
+    return inputs
+
+
+def test_validate_cover_matches_reference():
+    for g, circuits in _validation_inputs():
+        assert validate_cover(g, circuits) == \
+            _reference_validate_cover(g, circuits), circuits

@@ -325,6 +325,31 @@ def test_enumerate_counts_every_octahedron_cover(tmp_path, capsys):
     assert (doc["count"], doc["complete"]) == (6663, True)
 
 
+def test_census_entry_over_the_edge_cap_is_incomplete(tmp_path, capsys):
+    # an entry over the cap is undecided; the rest of the census runs
+    path = tmp_path / "census.json"
+    code, _, _ = run_cli(capsys, "census", "--corpus", "k4,prism",
+                         "--workers", "1", "--max-edges", "6",
+                         "--out", str(path))
+    assert code == 3
+    doc = json.loads(path.read_text())
+    entries = {e["name"]: e for e in doc["entries"]}
+    assert entries["k4"]["verdict"] == "pass"
+    prism = entries["prism"]
+    assert (prism["verdict"], prism["orientable_covers"],
+            prism["count_is_lower_bound"], prism["complete"]) == \
+        ("incomplete", 0, True, False)
+    assert (doc["verdict"], doc["completed"], doc["incomplete"]) == \
+        ("pass", 1, ["prism"])
+
+    code, _, _ = run_cli(capsys, "census", "--workers", "1",
+                         "--max-edges", "0", "--out", str(path))
+    assert code == 3
+    doc = json.loads(path.read_text())
+    assert doc["completed"] == 0
+    assert doc["incomplete"] == sorted(doc["corpus"])
+
+
 def test_default_census_decides_at_two_covers(tmp_path, capsys):
     path = tmp_path / "census.json"
     code, _, _ = run_cli(capsys, "census", "--workers", "1",
@@ -389,6 +414,8 @@ def test_malformed_cover_rows_are_usage_errors(tmp_path, capsys, body):
     ["census", "--corpus", "k4", "--budget", "nan"],
     ["census", "--corpus", "k4", "--workers", "0"],
     ["census", "--corpus", "k4", "--workers", "-2"],
+    ["cdc", "enumerate", "k4", "--max-edges", "-5"],
+    ["census", "--corpus", "k4", "--max-edges", "-1"],
 ])
 def test_bad_flag_values_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
