@@ -1,14 +1,19 @@
 """Circuit double covers: validation, search, orientability, translation.
 
 A circuit is a connected even edge set; a cover is a multiset of
-circuits hitting every edge exactly twice.  The orientable search
-partitions darts (directed edges) into balanced connected parts with
-the two darts of each edge in different parts; the unrestricted oracle
-partitions edge slots instead and decides orientability afterwards.
+circuits hitting every edge exactly twice.  There are three searches.
+On a cubic host the orientable covers are the rotation systems whose
+face walks are all cycles, so the rotation search picks one of two
+rotations per vertex.  On any other host the dart search partitions
+darts (directed edges) into balanced connected parts with the two
+darts of each edge in different parts.  The unrestricted oracle
+partitions edge slots instead and decides orientability afterwards;
+it and the dart search are the cross-checks for the rotation search.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -385,6 +390,8 @@ class EnumerationResult:
     False when the time budget ran out or when the cover limit was
     reached (then ``limit_reached`` is True); the covers found so far
     are still returned (a lower bound, never silently truncated).
+    ``search`` names the enumerator that ran: ``"rotation"``,
+    ``"dart"`` or ``"slot"`` (None when no search ran).
     """
 
     covers: tuple[CircuitDoubleCover, ...]
@@ -393,6 +400,7 @@ class EnumerationResult:
     elapsed: float
     nodes: int
     limit_reached: bool = False
+    search: str | None = None
 
     @property
     def orientable_covers(self) -> tuple[CircuitDoubleCover, ...]:
@@ -629,6 +637,108 @@ def _enumerate_oriented(g: SimpleGraph, deadline: _Deadline
     return found
 
 
+def _enumerate_rotations(g: SimpleGraph, deadline: _Deadline
+                         ) -> dict[tuple, CircuitDoubleCover]:
+    """Backtrack over the rotation systems of a cubic host.
+
+    An oriented cover of a cubic graph passes through each vertex by a
+    fixed-point-free bijection from in-edges to out-edges, which is one
+    of the two cyclic rotations of its three neighbours.  So the
+    oriented covers are the rotation systems whose face walks are all
+    cycles (Heffter-Edmonds), and each walk is a circuit and its
+    orientation at once.  Mirroring every rotation reverses every walk,
+    so the first vertex keeps one rotation.  The others come in order
+    of most neighbours already placed (then the least label).  After
+    each choice the face chains through the new vertex are walked as
+    far as they are determined, and a chain that repeats a vertex is
+    cut, including one that returns to the new vertex through another
+    passage.  Runs iteratively, one stack level per vertex.
+    """
+    nbrs = [sorted(g.adjacency[v]) for v in range(g.n)]
+    # rots[v][r] maps the in-neighbour of a passage to its out-neighbour;
+    # the two rotations are each other's inverse
+    rots = [({a: b, b: c, c: a}, {a: c, c: b, b: a}) for a, b, c in nbrs]
+    turn: list[dict[int, int] | None] = [None] * g.n
+    back: list[dict[int, int] | None] = [None] * g.n
+
+    order: list[int] = []
+    placed_nbrs = [0] * g.n             # -1 once placed
+    heap = [(0, v) for v in range(g.n)]
+    while heap:
+        k, v = heapq.heappop(heap)
+        if placed_nbrs[v] != -k:
+            continue                    # stale entry
+        order.append(v)
+        placed_nbrs[v] = -1
+        for w in nbrs[v]:
+            if placed_nbrs[w] >= 0:
+                placed_nbrs[w] += 1
+                heapq.heappush(heap, (-placed_nbrs[w], w))
+
+    def repeats(v: int) -> bool:
+        """Does a chain through ``v`` visit some vertex twice?"""
+        for x, y in turn[v].items():
+            seen = {v}
+            a, b = v, y                 # forward from the dart v -> y
+            while b not in seen and turn[b] is not None:
+                seen.add(b)
+                a, b = b, turn[b][a]
+            if b == v:
+                if a != x:              # back through another passage
+                    return True
+                continue                # a closed cycle
+            if b in seen:
+                return True
+            end = b                     # unplaced; the chain may close there
+            a, b = x, v                 # backward from the dart x -> v
+            while a != end:
+                if a in seen:
+                    return True
+                seen.add(a)
+                if back[a] is None:
+                    break
+                a, b = back[a][b], a
+        return False
+
+    found: dict[tuple, CircuitDoubleCover] = {}
+
+    def record() -> None:
+        used: set[Arc] = set()
+        walks = []
+        for u in range(g.n):
+            for w in nbrs[u]:
+                walk = []
+                a, b = u, w
+                while (a, b) not in used:
+                    used.add((a, b))
+                    walk.append((a, b))
+                    a, b = b, turn[b][a]
+                if walk:
+                    walks.append(walk)
+        deadline.record(found, CircuitDoubleCover.build(walks, walks))
+
+    tried = [0] * g.n                   # rotations tried at each depth
+    depth = 0
+    while depth >= 0 and not deadline.hit:
+        if depth == g.n:
+            record()
+            depth -= 1
+            continue
+        v = order[depth]
+        r = tried[depth]
+        if r == (2 if depth else 1):
+            turn[v] = back[v] = None
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = r + 1
+        turn[v], back[v] = rots[v][r], rots[v][1 - r]
+        if not repeats(v):
+            deadline.tick()
+            depth += 1
+    return found
+
+
 def _enumerate_all(g: SimpleGraph, deadline: _Deadline
                    ) -> dict[tuple, CircuitDoubleCover]:
     """Backtrack over edge slots; yields every cover, unoriented.
@@ -641,7 +751,8 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
     vertices, so the change a pair of parts makes to that number at
     both ends is read off before anything is mutated, and only pairs
     that pass are placed.  Evenness is then automatic at completion;
-    connectivity is checked per part.
+    connectivity is checked per part.  Runs iteratively, one stack
+    frame per placed edge.
     """
     edges = _search_order(g)
     n_edges = len(edges)
@@ -662,16 +773,12 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
             circuits.append(part)
         deadline.record(found, CircuitDoubleCover.build(circuits))
 
-    def assign(i: int) -> None:
-        if deadline.hit or deadline.tick():
-            return
-        if i == n_edges:
-            record()
-            return
+    def pairs(i: int) -> list[tuple[int, int, int, int]]:
+        """The part pairs edge ``i`` may join, with the change each
+        makes to the odd-part count at both ends; edge ``i`` is already
+        counted out of ``rem_e``."""
         u, v = edges[i]
         bu, bv = 1 << u, 1 << v
-        rem_e[u] -= 1
-        rem_e[v] -= 1
         # how far the odd-part count may still rise at u and at v
         room_u = 2 * rem_e[u] - odd_count[u]
         room_v = 2 * rem_e[v] - odd_count[v]
@@ -680,40 +787,57 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
         # the two trailing entries are fresh parts
         du = [-1 if m & bu else 1 for m in part_odd] + [1, 1]
         dv = [-1 if m & bv else 1 for m in part_odd] + [1, 1]
-        for pa in range(n_parts + 1):
-            pb_limit = n_parts + (2 if pa == n_parts else 1)
-            for pb in range(pa + 1, pb_limit):
-                su = du[pa] + du[pb]
-                sv = dv[pa] + dv[pb]
-                if su > room_u or sv > room_v:
-                    continue
-                for _ in range(pb + 1 - len(part_members)):
-                    part_members.append([])
-                    part_odd.append(0)
-                part_odd[pa] ^= bu | bv
-                part_odd[pb] ^= bu | bv
-                odd_count[u] += su
-                odd_count[v] += sv
-                part_members[pa].append(i)
-                part_members[pb].append(i)
+        return [(pa, pb, du[pa] + du[pb], dv[pa] + dv[pb])
+                for pa in range(n_parts + 1)
+                for pb in range(pa + 1, n_parts + (2 if pa == n_parts else 1))
+                if du[pa] + du[pb] <= room_u and dv[pa] + dv[pb] <= room_v]
 
-                assign(i + 1)
-
-                part_members[pb].pop()
-                part_members[pa].pop()
-                odd_count[u] -= su
-                odd_count[v] -= sv
-                part_odd[pb] ^= bu | bv
-                part_odd[pa] ^= bu | bv
-                del part_members[n_parts:], part_odd[n_parts:]
-                if deadline.hit:
-                    break
-            if deadline.hit:
+    frames: list[list] = []     # per open edge: pairs, next pair, parts before
+    enter = True
+    while not deadline.hit:
+        if enter:
+            if deadline.tick():
                 break
-        rem_e[u] += 1
-        rem_e[v] += 1
-
-    assign(0)
+            if len(frames) == n_edges:
+                record()
+            else:
+                u, v = edges[len(frames)]
+                rem_e[u] -= 1
+                rem_e[v] -= 1
+                frames.append([pairs(len(frames)), 0, len(part_members)])
+        if not frames:
+            break
+        i = len(frames) - 1
+        options, k, n_parts = frames[-1]
+        u, v = edges[i]
+        flip = (1 << u) | (1 << v)
+        if k:
+            pa, pb, su, sv = options[k - 1]
+            part_members[pb].pop()
+            part_members[pa].pop()
+            odd_count[u] -= su
+            odd_count[v] -= sv
+            part_odd[pb] ^= flip
+            part_odd[pa] ^= flip
+            del part_members[n_parts:], part_odd[n_parts:]
+        if k == len(options):
+            rem_e[u] += 1
+            rem_e[v] += 1
+            frames.pop()
+            enter = False
+            continue
+        frames[-1][1] = k + 1
+        pa, pb, su, sv = options[k]
+        for _ in range(pb + 1 - len(part_members)):
+            part_members.append([])
+            part_odd.append(0)
+        part_odd[pa] ^= flip
+        part_odd[pb] ^= flip
+        odd_count[u] += su
+        odd_count[v] += sv
+        part_members[pa].append(i)
+        part_members[pb].append(i)
+        enter = True
     return found
 
 
@@ -728,19 +852,21 @@ def enumerate_covers(
     """Exhaustively list circuit double covers of a small graph.
 
     With ``orientable_only`` (the default) only orientable covers are
-    produced, each carrying a witness, via the dart-partition search.
-    Otherwise ALL covers are produced by the slot-partition oracle and
-    each cover's orientability is decided afterwards (witnesses are
-    attached where they exist).  That decision shares the time budget:
-    a cover still undecided when it runs out is left out of the result,
-    which is then not ``complete``.
+    produced, each carrying a witness: on a host with edges whose every
+    vertex has degree 3 by the rotation search, on any other host by the
+    dart-partition search.  Otherwise ALL covers are produced by the
+    slot-partition oracle and each cover's orientability is decided
+    afterwards (witnesses are attached where they exist).  That
+    decision shares the time budget: a cover still undecided when it
+    runs out is left out of the result, which is then not ``complete``.
 
     ``max_edges`` guards against oversized hosts (EdgeLimitExceeded);
     ``time_budget`` (seconds) turns long searches into flagged partial
     results rather than exceptions, see :class:`EnumerationResult`.
     ``limit`` stops the search once that many distinct covers (of any
     orientability) have been found; the result then has
-    ``limit_reached`` set and is not ``complete``.
+    ``limit_reached`` set and is not ``complete``.  The result's
+    ``search`` names the enumerator that ran.
     """
     if len(g.edges) > max_edges:
         raise EdgeLimitExceeded(
@@ -749,11 +875,16 @@ def enumerate_covers(
         raise ValueError(f"limit must be at least 1, got {limit}")
     start = time.monotonic()
     deadline = _Deadline(time_budget, limit)
+    if not orientable_only:
+        search, enumerate_ = "slot", _enumerate_all
+    elif g.edges and all(len(nb) == 3 for nb in g.adjacency.values()):
+        search, enumerate_ = "rotation", _enumerate_rotations
+    else:
+        search, enumerate_ = "dart", _enumerate_oriented
+    found = enumerate_(g, deadline)
     if orientable_only:
-        found = _enumerate_oriented(g, deadline)
         covers = [found[key] for key in sorted(found)]
     else:
-        found = _enumerate_all(g, deadline)
         covers = []
         for key in sorted(found):
             cover = found[key]
@@ -771,6 +902,7 @@ def enumerate_covers(
         elapsed=time.monotonic() - start,
         nodes=deadline.nodes,
         limit_reached=deadline.limit_reached,
+        search=search,
     )
 
 

@@ -63,7 +63,7 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
         "dual_apollonian": dual_apollonian,
         "verdict": verdict,
         "timing": {"elapsed": round(time.monotonic() - start, 3),
-                   "nodes": result.nodes},
+                   "nodes": result.nodes, "search": result.search},
     }
 
 

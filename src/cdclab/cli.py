@@ -194,9 +194,13 @@ def _cmd_cdc_enumerate(ns: argparse.Namespace) -> int:
         "covers": covers,
         "settings": {"max_edges": ns.max_edges, "time_budget": ns.budget},
         "timing": {"elapsed": round(result.elapsed, 3),
-                   "nodes": result.nodes},
+                   "nodes": result.nodes, "search": result.search},
     }))
-    return EXIT_PASS if result.complete else EXIT_BUDGET
+    if not result.complete:
+        print(f"budget: search stopped after {result.elapsed:.1f} s "
+              f"with {len(result.covers)} covers found", file=sys.stderr)
+        return EXIT_BUDGET
+    return EXIT_PASS
 
 
 def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
@@ -308,8 +312,7 @@ def _cmd_verify_prop41(ns: argparse.Namespace) -> int:
 
 
 def _cmd_census(ns: argparse.Namespace) -> int:
-    corpus = ns.corpus.split(",") if ns.corpus else None
-    report = run_census(corpus, max_edges=ns.max_edges,
+    report = run_census(ns.corpus, max_edges=ns.max_edges,
                         time_budget=ns.budget, workers=ns.workers)
     _emit(ns, report)
     if report["verdict"] != "pass":
@@ -444,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     pvp.set_defaults(func=_cmd_verify_prop41)
 
     p = sub.add_parser("census", help="orientable-cover census")
-    p.add_argument("--corpus", help="comma-separated selectors")
+    p.add_argument("--corpus", nargs="+", metavar="SELECTOR",
+                   help="one or more selectors (default: the built-in "
+                        "corpus)")
     p.add_argument("--max-edges", type=_at_least(0),
                    default=DEFAULT_MAX_EDGES)
     p.add_argument("--budget", type=_budget, default=None,

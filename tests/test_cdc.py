@@ -15,6 +15,8 @@ from cdclab.apollonian import (
     random_stacks,
 )
 from cdclab.cdc import (
+    _Deadline,
+    _enumerate_oriented,
     CircuitDoubleCover,
     CircuitReport,
     CoverReport,
@@ -80,6 +82,15 @@ def _relabel(g, seed):
     Random(seed).shuffle(perm)
     return SimpleGraph(g.n, frozenset(
         normalize_edge(perm[u], perm[v]) for u, v in g.edges)), perm
+
+
+def _dart_search(g):
+    """The dart search alone, whatever the host's degrees: its covers in
+    canonical order and its node count."""
+    deadline = _Deadline(None, None)
+    found = _enumerate_oriented(g, deadline)
+    assert not deadline.hit
+    return [found[key] for key in sorted(found)], deadline.nodes
 
 
 def test_triangle_is_a_cycle():
@@ -223,13 +234,13 @@ def test_dart_search_is_label_independent(name, seed):
     else:
         g = underlying_graph(select(name))
     g2, perm = _relabel(g, seed)
-    base = require_complete(enumerate_covers(g, max_edges=18))
-    moved = require_complete(enumerate_covers(g2, max_edges=18))
-    forms = {c.canonical_form() for c in moved.covers}
+    base, _ = _dart_search(g)
+    moved, _ = _dart_search(g2)
+    forms = {c.canonical_form() for c in moved}
     assert forms == {CircuitDoubleCover.build(
         [[(perm[u], perm[v]) for u, v in c] for c in cover.circuits]
-    ).canonical_form() for cover in base.covers}
-    for cover in moved.covers:
+    ).canonical_form() for cover in base}
+    for cover in moved:
         assert validate_oriented_cover(
             g2, cover, OrientedCover(cover.orientation)) == []
     if len(g.edges) <= 10:
@@ -242,12 +253,78 @@ def test_dart_search_node_counts():
     # node counts are deterministic; the sorted edge order without the
     # reversal cut took 84,973 nodes on wheel:6 and 20,790 on K4^t
     wheel6 = enumerate_covers(underlying_graph(wheel(6)))
-    k4t = enumerate_covers(underlying_graph(complete_truncation(k4())[0]),
-                           max_edges=18)
+    k4t, k4t_nodes = _dart_search(
+        underlying_graph(complete_truncation(k4())[0]))
     assert wheel6.complete and len(wheel6.covers) == 250
-    assert k4t.complete and len(k4t.covers) == 1
+    assert wheel6.search == "dart"
+    assert len(k4t) == 1
     assert wheel6.nodes <= 84_973 // 4
-    assert k4t.nodes <= 20_790 // 4
+    assert k4t_nodes <= 20_790 // 4
+
+
+def _cubic_host(name):
+    head, _, arg = name.partition(":")
+    if head == "prism":
+        return underlying_graph(prism(int(arg)))
+    if head == "dual":
+        return underlying_graph(apollonian_dual(random_stacks(4, int(arg))))
+    if name.endswith("^t"):
+        return underlying_graph(complete_truncation(select(name[:-2]))[0])
+    return underlying_graph(select(name))
+
+
+# prism:n is the n-gonal prism (prism:4 is the cube); dual:s is the dual
+# of the seed-s 4-stack Apollonian network
+@pytest.mark.parametrize("name", [
+    "k4", "prism:3", "prism:4", "prism:5", "prism:6", "prism:7",
+    "k4^t", "prism^t", "dual:0", "dual:1", "dual:2", "dual:3", "dual:4",
+    "dual:5"])
+def test_rotation_search_matches_dart_search(name):
+    g = _cubic_host(name)
+    # the host and two seeded relabellings
+    for g2 in (g, _relabel(g, 0)[0], _relabel(g, 1)[0]):
+        full = require_complete(enumerate_covers(g2, max_edges=27))
+        assert full.search == "rotation"
+        dart, _ = _dart_search(g2)
+        forms = [c.canonical_form() for c in full.covers]
+        assert forms == [c.canonical_form() for c in dart], name
+        for cover in full.covers:
+            assert validate_oriented_cover(
+                g2, cover, OrientedCover(cover.orientation)) == [], name
+        # the census's early exit agrees with the full search
+        found = enumerate_covers(g2, max_edges=27, limit=2)
+        assert len(found.covers) == min(2, len(forms))
+        assert {c.canonical_form() for c in found.covers} <= set(forms)
+        assert found.limit_reached == (len(forms) >= 2)
+
+
+def test_rotation_search_node_counts():
+    # the dart search took 73,786 nodes on prism^t and 13,220,465 on
+    # cube^t; without walking chains backwards the rotation search takes
+    # 1.7 million on the 20-stack dual
+    prism_t = enumerate_covers(
+        underlying_graph(complete_truncation(prism())[0]), max_edges=27)
+    cube_t = enumerate_covers(
+        underlying_graph(complete_truncation(cube())[0]), max_edges=36)
+    dual = enumerate_covers(
+        underlying_graph(apollonian_dual(random_stacks(20, 0))),
+        max_edges=66)
+    assert prism_t.complete and len(prism_t.covers) == 1
+    assert cube_t.complete and len(cube_t.covers) == 8
+    assert dual.complete and len(dual.covers) == 1
+    assert prism_t.nodes <= 1_000
+    assert cube_t.nodes <= 10_000
+    assert dual.nodes <= 20_000
+
+
+def test_rotation_search_does_not_recurse():
+    # 1,200 vertices, far past the recursion limit in depth
+    g = underlying_graph(prism(600))
+    start = time.monotonic()
+    result = enumerate_covers(g, max_edges=10**4, time_budget=1.0)
+    assert time.monotonic() - start < 3
+    assert result.search == "rotation"
+    assert not result.complete and not result.limit_reached
 
 
 def test_orientation_must_align_with_circuits():

@@ -306,13 +306,58 @@ def test_verify_prop41_reports_failures(capsys):
 
 def test_census_small_corpus(tmp_path, capsys):
     path = tmp_path / "census.json"
-    code, _, _ = run_cli(capsys, "census", "--corpus", "k4,prism",
+    code, _, _ = run_cli(capsys, "census", "--corpus", "k4", "prism",
                          "--out", str(path))
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["verdict"] == "pass"
     counts = {e["name"]: e["orientable_covers"] for e in doc["entries"]}
     assert counts == {"k4": 1, "prism": 1}
+
+
+def test_census_takes_stacked_selectors(tmp_path, capsys):
+    # selectors are separate arguments; a stacking sequence keeps its commas
+    path = tmp_path / "census.json"
+    code, _, _ = run_cli(capsys, "census", "--corpus", "apollonian-dual:0,1",
+                         "apollonian-dual:2,0,3", "wheel:4", "--workers", "1",
+                         "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["corpus"] == ["apollonian-dual:0,1", "apollonian-dual:2,0,3",
+                             "wheel:4"]
+    entries = {e["name"]: e for e in doc["entries"]}
+    assert entries["apollonian-dual:0,1"]["orientable_covers"] == 1
+    assert entries["apollonian-dual:2,0,3"]["orientable_covers"] == 1
+    assert doc["verdict"] == "pass"
+    assert {name: e["timing"]["search"] for name, e in entries.items()} == {
+        "apollonian-dual:0,1": "rotation",
+        "apollonian-dual:2,0,3": "rotation",
+        "wheel:4": "dart"}
+
+
+@pytest.mark.parametrize("graph,flags,search", [
+    ("cube", [], "rotation"),
+    ("wheel:4", [], "dart"),
+    ("cube", ["--all"], "slot"),
+])
+def test_enumerate_reports_the_search(capsys, graph, flags, search):
+    code, out, _ = run_cli(capsys, "cdc", "enumerate", graph, *flags)
+    assert code == 0
+    assert json.loads(out)["timing"]["search"] == search
+
+
+def test_oracle_past_the_recursion_limit_is_a_budget_exit(tmp_path, capsys):
+    # 1,200 edges: the slot oracle keeps one stack frame per edge
+    path = tmp_path / "covers.json"
+    code, _, err = run_cli(capsys, "cdc", "enumerate", "wheel:600", "--all",
+                           "--max-edges", "2000", "--budget", "2",
+                           "--out", str(path))
+    assert code == 3
+    assert "Traceback" not in err
+    wrote, budget = err.splitlines()
+    assert wrote == f"wrote {path}"
+    assert budget.startswith("budget: search stopped after")
+    assert json.loads(path.read_text())["complete"] is False
 
 
 def test_enumerate_counts_every_octahedron_cover(tmp_path, capsys):
@@ -328,7 +373,7 @@ def test_enumerate_counts_every_octahedron_cover(tmp_path, capsys):
 def test_census_entry_over_the_edge_cap_is_incomplete(tmp_path, capsys):
     # an entry over the cap is undecided; the rest of the census runs
     path = tmp_path / "census.json"
-    code, _, _ = run_cli(capsys, "census", "--corpus", "k4,prism",
+    code, _, _ = run_cli(capsys, "census", "--corpus", "k4", "prism",
                          "--workers", "1", "--max-edges", "6",
                          "--out", str(path))
     assert code == 3
