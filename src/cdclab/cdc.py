@@ -240,8 +240,11 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
     circuit runs it from its larger end.  Each union-find class is
     rooted at its least edge, so trying 0 before 1 in root order finds
     the least solution.  With ``deadline``, raises
-    :class:`TimeBudgetExceeded` once the budget has run out.
+    :class:`TimeBudgetExceeded` once the budget has run out, before
+    building anything if it already has.
     """
+    if deadline is not None and deadline.late():
+        raise TimeBudgetExceeded("no time left for the orientation search")
     edge_id: dict[Edge, int] = {}
     parent: list[int] = []
     parity: list[int] = []      # x_e xor x_parent
@@ -484,10 +487,18 @@ def _search_order(g: SimpleGraph) -> list[Edge]:
     number of endpoints already touched, most first; the unplaced edge
     count at the emptier endpoint, then at both endpoints, fewest
     first; and last the edge itself.
+
+    Placing an edge lowers the keys of the edges at its two endpoints
+    and of no others, and a vertex's own count does not reorder the
+    edges at it.  So each edge waits in a lazy heap at its owner, the
+    end of larger degree, keyed by its other end's part of the key, and
+    a global lazy heap holds the full key of each owner's best edge.  A
+    placement re-pushes only the edges whose other end it changed;
+    entries of placed edges are skipped.
     """
     deg = [g.degree(v) for v in range(g.n)]
     unplaced = deg[:]
-    left = set(g.edges)
+    placed: set[Edge] = set()
     order: list[Edge] = []
 
     def key(e: Edge) -> tuple:
@@ -496,12 +507,45 @@ def _search_order(g: SimpleGraph) -> list[Edge]:
         touched = (a < deg[e[0]]) + (b < deg[e[1]])
         return -completes, -touched, min(a, b), a + b, e
 
-    while left:
-        e = min(left, key=key)
-        left.remove(e)
+    def side(e: Edge, w: int) -> tuple:
+        b = unplaced[w]
+        return -(b == 1), -(b < deg[w]), b, e
+
+    own: list[list[tuple]] = [[] for _ in range(g.n)]
+    foreign: list[list[tuple[Edge, int]]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        o, w = e if deg[e[0]] >= deg[e[1]] else e[::-1]
+        own[o].append(side(e, w))
+        foreign[w].append((e, o))
+    for h in own:
+        heapq.heapify(h)
+    heap: list[tuple] = []
+
+    def offer(v: int) -> None:
+        h = own[v]
+        while h and h[0][-1] in placed:
+            heapq.heappop(h)
+        if h:
+            heapq.heappush(heap, key(h[0][-1]))
+
+    for v in range(g.n):
+        offer(v)
+    while heap:
+        e = heapq.heappop(heap)[-1]
+        if e in placed:
+            continue
+        placed.add(e)
         order.append(e)
-        unplaced[e[0]] -= 1
-        unplaced[e[1]] -= 1
+        dirty = set(e)
+        for x in e:
+            unplaced[x] -= 1
+        for x in e:
+            for f, o in foreign[x]:
+                if f not in placed:
+                    heapq.heappush(own[o], side(f, x))
+                    dirty.add(o)
+        for v in dirty:
+            offer(v)
     return order
 
 

@@ -17,6 +17,7 @@ from cdclab.apollonian import (
 from cdclab.cdc import (
     _Deadline,
     _enumerate_oriented,
+    _search_order,
     CircuitDoubleCover,
     CircuitReport,
     CoverReport,
@@ -618,6 +619,55 @@ def test_oracle_budget_bounds_the_orientability_phase():
     for cover in result.covers:
         assert (check_orientability(g, cover) is not None) == \
             (cover.orientation is not None)
+
+
+def test_oracle_budget_bounds_the_covers_left_undecided():
+    # the slot search spends the whole budget; each of the hundreds of
+    # covers it found would then build a 600-edge union-find before its
+    # first deadline check
+    budget = 1.0
+    g = underlying_graph(wheel(300))
+    start = time.monotonic()
+    result = enumerate_covers(g, orientable_only=False, max_edges=10**4,
+                              time_budget=budget)
+    assert time.monotonic() - start < budget + 1
+    assert not result.complete
+
+
+def _reference_search_order(g):
+    """The edge order by a full scan per pick, quadratic in the edges."""
+    deg = [g.degree(v) for v in range(g.n)]
+    unplaced = deg[:]
+    left = set(g.edges)
+    order = []
+
+    def key(e):
+        a, b = unplaced[e[0]], unplaced[e[1]]
+        completes = (a == 1) + (b == 1)
+        touched = (a < deg[e[0]]) + (b < deg[e[1]])
+        return -completes, -touched, min(a, b), a + b, e
+
+    while left:
+        e = min(left, key=key)
+        left.remove(e)
+        order.append(e)
+        unplaced[e[0]] -= 1
+        unplaced[e[1]] -= 1
+    return order
+
+
+@pytest.mark.parametrize("name", default_census_corpus() + [
+    "wheel:6", "wheel:7", "wheel:40", "k4^t", "prism^t",
+    "apollonian:0,1,2,3,4,5,6,7", "apollonian:0,0,0,0,0,0"])
+def test_search_order_matches_reference(name):
+    # the apollonian networks and wheel:40 mix vertex degrees, so edges
+    # are owned by one end; the cubic hosts tie every degree
+    m = select(name.removesuffix("^t"))
+    if name.endswith("^t"):
+        m = complete_truncation(m)[0]
+    g = underlying_graph(m)
+    for g2 in (g, _relabel(g, 0)[0], _relabel(g, 1)[0]):
+        assert _search_order(g2) == _reference_search_order(g2), name
 
 
 def _reference_validate_circuit(g, circuit):

@@ -1,12 +1,24 @@
 """Canonical codes, isomorphism, and the commuting-square check."""
 
 import random
+import time
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdclab.corpus import cube, k4, octahedron, prism, wheel
+from cdclab.apollonian import generate_apollonian
+from cdclab.corpus import (
+    cube,
+    default_census_corpus,
+    k4,
+    octahedron,
+    prism,
+    select,
+    wheel,
+)
 from cdclab.errors import NotThreeConnected, TooLarge
 from cdclab.iso import (
     cross_check_isomorphism,
@@ -20,8 +32,10 @@ from cdclab.planar_map import (
     SimpleGraph,
     from_rotation,
     mirror,
+    normalize_edge,
     underlying_graph,
 )
+from cdclab.surgery import complete_truncation
 
 from conftest import apollonian_from_draws, corpus_maps
 
@@ -108,6 +122,100 @@ def test_graph_code_too_large():
         graph_canonical_code(SimpleGraph(n, edges))
 
 
+def _brute_force_code(g: SimpleGraph) -> tuple:
+    """The least lower-triangular adjacency row string over all n!
+    vertex orderings, with the vertex count."""
+    adj = g.adjacency
+    return g.n, min(
+        tuple(order[i] in adj[order[j]] for j in range(g.n) for i in range(j))
+        for order in permutations(range(g.n)))
+
+
+def test_graph_code_matches_brute_force_minimum():
+    # every second graph is a relabelled copy of the one before, so
+    # both directions of "iff" are exercised at every size
+    rng = random.Random(2014)
+    graphs = []
+    for k in range(300):
+        if k % 2:
+            graphs.append(_relabel_graph(graphs[-1], rng))
+            continue
+        n = rng.randint(1, 7)
+        graphs.append(SimpleGraph(n, frozenset(
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.5)))
+    by_code: dict = {}
+    by_brute: dict = {}
+    for g in graphs:
+        code, brute = graph_canonical_code(g), _brute_force_code(g)
+        assert by_code.setdefault(code, brute) == brute
+        assert by_brute.setdefault(brute, code) == code
+    # many isomorphism classes, and far fewer than graphs
+    assert 40 < len(by_code) < 150
+
+
+def test_graph_iso_agrees_with_map_path():
+    # 3-connected planar graphs have one embedding up to reflection, so
+    # map codes decide isomorphism (Whitney); the corpus holds
+    # isomorphic pairs under different stacking sequences
+    rng = random.Random(9)
+    maps = [select(name) for name in default_census_corpus()]
+    maps += [_relabel_map(m, rng) for _, m in corpus_maps()]
+    graphs = [underlying_graph(m) for m in maps]
+    agree = Counter()
+    for a, b in combinations_with_replacement(range(len(maps)), 2):
+        same = graphs_isomorphic(graphs[a], graphs[b])
+        assert same == cross_check_isomorphism(maps[a], maps[b]), (a, b)
+        agree[same] += 1
+    assert agree[True] > len(maps) and agree[False] > 0
+
+
+def _graph(n: int, edges) -> SimpleGraph:
+    return SimpleGraph(n, frozenset(normalize_edge(u, v) for u, v in edges))
+
+
+@pytest.mark.parametrize("stacks", [16, 20, 26])
+@pytest.mark.parametrize("seed", range(5))
+def test_graph_code_on_apollonian_networks(stacks, seed):
+    # the tie-keeping ordering search raised TooLarge from 20 vertices
+    g = underlying_graph(generate_apollonian(stacks, seed=seed))
+    code = graph_canonical_code(g)
+    rng = random.Random(seed)
+    for _ in range(2):
+        assert graph_canonical_code(_relabel_graph(g, rng)) == code
+
+
+SYMMETRIC_GRAPHS = {
+    "C40": _graph(40, [(i, (i + 1) % 40) for i in range(40)]),
+    "Q4": _graph(16, [(v, v ^ 1 << b) for v in range(16) for b in range(4)]),
+    "Petersen": _graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]),
+    "K3,3": _graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "cube^t": underlying_graph(complete_truncation(cube())[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+def test_graph_code_on_symmetric_graphs(name):
+    g = SYMMETRIC_GRAPHS[name]
+    code = graph_canonical_code(g)
+    assert code[:6] == b"G2" + g.n.to_bytes(4, "big")
+    rng = random.Random(17)
+    for _ in range(2):
+        assert graph_canonical_code(_relabel_graph(g, rng)) == code
+
+
+def test_graph_code_node_cap():
+    # K10 has 10! leaves and no refinement splits it: the node cap must
+    # end the search long before that
+    k10 = _graph(10, [(i, j) for i in range(10) for j in range(i)])
+    start = time.monotonic()
+    with pytest.raises(TooLarge):
+        graph_canonical_code(k10)
+    assert time.monotonic() - start < 5
+
+
 def test_truncated_tetrahedron_fixture():
     # independent construction: vertices are ordered pairs (i, j) of
     # distinct K4 vertices; (i,j)-(j,i) plus (i,j)-(i,l) around i
@@ -121,7 +229,6 @@ def test_truncated_tetrahedron_fixture():
                 edges.add(tuple(sorted((index[(i, j)], index[(i, l)]))))
     fixture = SimpleGraph(12, frozenset(edges))
 
-    from cdclab.surgery import complete_truncation
     out, _ = complete_truncation(k4())
     assert graphs_isomorphic(underlying_graph(out), fixture)
 
