@@ -487,18 +487,10 @@ def _search_order(g: SimpleGraph) -> list[Edge]:
     number of endpoints already touched, most first; the unplaced edge
     count at the emptier endpoint, then at both endpoints, fewest
     first; and last the edge itself.
-
-    Placing an edge lowers the keys of the edges at its two endpoints
-    and of no others, and a vertex's own count does not reorder the
-    edges at it.  So each edge waits in a lazy heap at its owner, the
-    end of larger degree, keyed by its other end's part of the key, and
-    a global lazy heap holds the full key of each owner's best edge.  A
-    placement re-pushes only the edges whose other end it changed;
-    entries of placed edges are skipped.
     """
     deg = [g.degree(v) for v in range(g.n)]
     unplaced = deg[:]
-    placed: set[Edge] = set()
+    left = set(g.edges)
     order: list[Edge] = []
 
     def key(e: Edge) -> tuple:
@@ -507,45 +499,12 @@ def _search_order(g: SimpleGraph) -> list[Edge]:
         touched = (a < deg[e[0]]) + (b < deg[e[1]])
         return -completes, -touched, min(a, b), a + b, e
 
-    def side(e: Edge, w: int) -> tuple:
-        b = unplaced[w]
-        return -(b == 1), -(b < deg[w]), b, e
-
-    own: list[list[tuple]] = [[] for _ in range(g.n)]
-    foreign: list[list[tuple[Edge, int]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        o, w = e if deg[e[0]] >= deg[e[1]] else e[::-1]
-        own[o].append(side(e, w))
-        foreign[w].append((e, o))
-    for h in own:
-        heapq.heapify(h)
-    heap: list[tuple] = []
-
-    def offer(v: int) -> None:
-        h = own[v]
-        while h and h[0][-1] in placed:
-            heapq.heappop(h)
-        if h:
-            heapq.heappush(heap, key(h[0][-1]))
-
-    for v in range(g.n):
-        offer(v)
-    while heap:
-        e = heapq.heappop(heap)[-1]
-        if e in placed:
-            continue
-        placed.add(e)
+    while left:
+        e = min(left, key=key)
+        left.remove(e)
         order.append(e)
-        dirty = set(e)
-        for x in e:
-            unplaced[x] -= 1
-        for x in e:
-            for f, o in foreign[x]:
-                if f not in placed:
-                    heapq.heappush(own[o], side(f, x))
-                    dirty.add(o)
-        for v in dirty:
-            offer(v)
+        unplaced[e[0]] -= 1
+        unplaced[e[1]] -= 1
     return order
 
 
@@ -785,7 +744,9 @@ def _enumerate_rotations(g: SimpleGraph, deadline: _Deadline
 
 def _enumerate_all(g: SimpleGraph, deadline: _Deadline
                    ) -> dict[tuple, CircuitDoubleCover]:
-    """Backtrack over edge slots; yields every cover, unoriented.
+    """Backtrack over edge slots; yields every cover, each with its
+    orientability decided (a witness attached where one exists) as it
+    is found, so a cut search returns only decided covers.
 
     Edges come in :func:`_search_order`, which completes vertices
     early.  Each edge contributes two slots going to two distinct parts
@@ -815,7 +776,16 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
             if not _connected(_adjacency(part)):
                 return
             circuits.append(part)
-        deadline.record(found, CircuitDoubleCover.build(circuits))
+        cover = CircuitDoubleCover.build(circuits)
+        if cover.canonical_form() in found:
+            return      # found before: the search reaches each cover twice
+        try:
+            parts = _orientation(cover.circuits, deadline)
+        except TimeBudgetExceeded:
+            return      # undecided when the budget ran out: left out
+        if parts is not None:
+            cover = CircuitDoubleCover(cover.circuits, parts)
+        deadline.record(found, cover)
 
     def pairs(i: int) -> list[tuple[int, int, int, int]]:
         """The part pairs edge ``i`` may join, with the change each
@@ -899,8 +869,8 @@ def enumerate_covers(
     produced, each carrying a witness: on a host with edges whose every
     vertex has degree 3 by the rotation search, on any other host by the
     dart-partition search.  Otherwise ALL covers are produced by the
-    slot-partition oracle and each cover's orientability is decided
-    afterwards (witnesses are attached where they exist).  That
+    slot-partition oracle, which decides each cover's orientability as
+    it finds it (witnesses are attached where they exist).  That
     decision shares the time budget: a cover still undecided when it
     runs out is left out of the result, which is then not ``complete``.
 
@@ -926,21 +896,8 @@ def enumerate_covers(
     else:
         search, enumerate_ = "dart", _enumerate_oriented
     found = enumerate_(g, deadline)
-    if orientable_only:
-        covers = [found[key] for key in sorted(found)]
-    else:
-        covers = []
-        for key in sorted(found):
-            cover = found[key]
-            try:
-                parts = _orientation(cover.circuits, deadline)
-            except TimeBudgetExceeded:
-                continue
-            if parts is not None:
-                cover = CircuitDoubleCover(cover.circuits, parts)
-            covers.append(cover)
     return EnumerationResult(
-        covers=tuple(covers),
+        covers=tuple(found[key] for key in sorted(found)),
         complete=not deadline.hit,
         orientable_only=orientable_only,
         elapsed=time.monotonic() - start,

@@ -3,10 +3,9 @@
 Map codes relabel darts breadth-first from every (start dart,
 orientation) pair and keep the lexicographic minimum, so two maps get
 equal codes iff they are isomorphic up to reflection.  Graph codes
-refine the vertex partition to an equitable one, individualise
-vertices until it is discrete, and keep the least adjacency bitstring
-over the leaves of that search (format ``G2``).  With no automorphism
-pruning, a node cap bounds highly symmetric inputs.
+keep the least adjacency bitstring over the leaves of a colour
+refinement and individualisation search (format ``G2``; with no
+automorphism pruning, a node cap bounds highly symmetric inputs).
 """
 
 from __future__ import annotations
@@ -101,9 +100,8 @@ _NODE_CAP = 100_000
 def _refine(adj: dict[int, set[int]],
             cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The coarsest equitable refinement of an ordered partition: split
-    each cell by its vertices' sorted tuples of neighbour cells, ordered
-    by that tuple, until nothing splits.  Independent of vertex labels."""
-    while len(cells) < len(adj):
+    each cell by its vertices' sorted neighbour cells, in that order."""
+    while True:
         cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
         split: list[tuple[int, ...]] = []
         for cell in cells:
@@ -116,21 +114,18 @@ def _refine(adj: dict[int, set[int]],
                 parts.setdefault(key, []).append(v)
             split.extend(tuple(parts[key]) for key in sorted(parts))
         if len(split) == len(cells):
-            break
+            return cells
         cells = split
-    return cells
 
 
 def graph_canonical_code(g: SimpleGraph, *, max_n: int = 40) -> bytes:
     """Exact canonical form of a small abstract graph.
 
-    Refines the unit partition to an equitable one, then individualises
-    each vertex of the first smallest non-singleton cell and refines
-    again, depth first (McKay & Piperno, J. Symb. Comput. 60, 2014).
-    The code (format G2) is the least lower-triangular adjacency
-    bitstring over the discrete leaves.  With no automorphism pruning
-    K8 takes 69,281 nodes; past ``max_n`` vertices or ``_NODE_CAP``
-    nodes, raises TooLarge.
+    Refines the unit partition, individualises each vertex of the first
+    smallest non-singleton cell and recurses (McKay & Piperno, 2014);
+    the code (G2) is the least lower-triangular adjacency bitstring over
+    the discrete leaves.  No automorphism pruning: raises TooLarge past
+    ``max_n`` vertices or ``_NODE_CAP`` nodes (K8 takes 69,281).
     """
     if g.n > max_n:
         raise TooLarge(f"graph code capped at {max_n} vertices, got {g.n}")
@@ -141,13 +136,9 @@ def graph_canonical_code(g: SimpleGraph, *, max_n: int = 40) -> bytes:
         cells = stack.pop()
         if len(cells) == g.n:
             pos = {cell[0]: i for i, cell in enumerate(cells)}
-            bits = 0
-            for u, v in g.edges:
-                i, j = pos[u], pos[v]
-                if i > j:
-                    i, j = j, i
-                bits |= 1 << (size - 1 - j * (j - 1) // 2 - i)
-            best = min(best, bits)
+            best = min(best, sum(1 << (size - 1 - j * (j - 1) // 2 - pos[w])
+                                 for j, (u,) in enumerate(cells)
+                                 for w in adj[u] if pos[w] < j))
             continue
         k = min((len(c), i) for i, c in enumerate(cells) if len(c) > 1)[1]
         nodes += len(cells[k])

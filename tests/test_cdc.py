@@ -17,7 +17,6 @@ from cdclab.apollonian import (
 from cdclab.cdc import (
     _Deadline,
     _enumerate_oriented,
-    _search_order,
     CircuitDoubleCover,
     CircuitReport,
     CoverReport,
@@ -614,6 +613,7 @@ def test_oracle_budget_bounds_the_orientability_phase():
                               time_budget=budget)
     assert time.monotonic() - start < 6 * budget
     assert not result.complete
+    assert result.covers
     # a cover whose verdict the budget cut off is dropped, never
     # returned as non-orientable
     for cover in result.covers:
@@ -622,9 +622,9 @@ def test_oracle_budget_bounds_the_orientability_phase():
 
 
 def test_oracle_budget_bounds_the_covers_left_undecided():
-    # the slot search spends the whole budget; each of the hundreds of
-    # covers it found would then build a 600-edge union-find before its
-    # first deadline check
+    # the slot search spends the whole budget on a 600-edge host; the
+    # covers it found before the deadline come back decided, and none
+    # builds a union-find after it
     budget = 1.0
     g = underlying_graph(wheel(300))
     start = time.monotonic()
@@ -632,42 +632,7 @@ def test_oracle_budget_bounds_the_covers_left_undecided():
                               time_budget=budget)
     assert time.monotonic() - start < budget + 1
     assert not result.complete
-
-
-def _reference_search_order(g):
-    """The edge order by a full scan per pick, quadratic in the edges."""
-    deg = [g.degree(v) for v in range(g.n)]
-    unplaced = deg[:]
-    left = set(g.edges)
-    order = []
-
-    def key(e):
-        a, b = unplaced[e[0]], unplaced[e[1]]
-        completes = (a == 1) + (b == 1)
-        touched = (a < deg[e[0]]) + (b < deg[e[1]])
-        return -completes, -touched, min(a, b), a + b, e
-
-    while left:
-        e = min(left, key=key)
-        left.remove(e)
-        order.append(e)
-        unplaced[e[0]] -= 1
-        unplaced[e[1]] -= 1
-    return order
-
-
-@pytest.mark.parametrize("name", default_census_corpus() + [
-    "wheel:6", "wheel:7", "wheel:40", "k4^t", "prism^t",
-    "apollonian:0,1,2,3,4,5,6,7", "apollonian:0,0,0,0,0,0"])
-def test_search_order_matches_reference(name):
-    # the apollonian networks and wheel:40 mix vertex degrees, so edges
-    # are owned by one end; the cubic hosts tie every degree
-    m = select(name.removesuffix("^t"))
-    if name.endswith("^t"):
-        m = complete_truncation(m)[0]
-    g = underlying_graph(m)
-    for g2 in (g, _relabel(g, 0)[0], _relabel(g, 1)[0]):
-        assert _search_order(g2) == _reference_search_order(g2), name
+    assert result.covers
 
 
 def _reference_validate_circuit(g, circuit):
