@@ -1,19 +1,19 @@
 """Circuit double covers: validation, search, orientability, translation.
 
 A circuit is a connected even edge set; a cover is a multiset of
-circuits hitting every edge exactly twice.  There are three searches.
-On a cubic host the orientable covers are the rotation systems whose
-face walks are all cycles, so the rotation search picks one of two
-rotations per vertex.  On any other host the dart search partitions
-darts (directed edges) into balanced connected parts with the two
-darts of each edge in different parts.  The unrestricted oracle
-partitions edge slots instead and decides orientability afterwards;
-it and the dart search are the cross-checks for the rotation search.
+circuits hitting every edge exactly twice.  There are two searches.
+The transition search finds the orientable covers: at each vertex it
+picks a fixed-point-free bijection from in-edges to out-edges, and the
+walks this makes, when none uses both darts (directed edges) of an
+edge, are the oriented circuits.  On a cubic host the two bijections
+at a vertex are its rotations, so there it searches rotation systems.
+The unrestricted oracle partitions edge slots instead and decides each
+cover's orientability as it finds it; it is the transition search's
+cross-check.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -393,8 +393,8 @@ class EnumerationResult:
     False when the time budget ran out or when the cover limit was
     reached (then ``limit_reached`` is True); the covers found so far
     are still returned (a lower bound, never silently truncated).
-    ``search`` names the enumerator that ran: ``"rotation"``,
-    ``"dart"`` or ``"slot"`` (None when no search ran).
+    ``search`` names the enumerator that ran: ``"transition"`` or
+    ``"slot"`` (None when no search ran).
     """
 
     covers: tuple[CircuitDoubleCover, ...]
@@ -480,7 +480,7 @@ def _connected(adj: dict[int, list[int]]) -> bool:
 
 
 def _search_order(g: SimpleGraph) -> list[Edge]:
-    """The dart search's edge order: close vertices as early as possible.
+    """The slot oracle's edge order: close vertices as early as possible.
 
     Edges are picked greedily by, in turn: the number of endpoints the
     edge completes (places the last unplaced edge at), most first; the
@@ -508,237 +508,156 @@ def _search_order(g: SimpleGraph) -> list[Edge]:
     return order
 
 
-def _enumerate_oriented(g: SimpleGraph, deadline: _Deadline
-                        ) -> dict[tuple, CircuitDoubleCover]:
-    """Backtrack over darts; project oriented partitions to covers.
+def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
+                           ) -> dict[tuple, CircuitDoubleCover]:
+    """Backtrack over transition systems; project them to covers.
 
-    Darts 2i and 2i+1 are the two directions of edge i in
-    :func:`_search_order`, which places edges so that vertices are
-    completed (all their darts placed) early.  A dart joins an existing
-    part or opens the next fresh one (restricted growth), subject to:
-    its edge not yet in the part, its opposite dart elsewhere, and
-    per-vertex balance feasibility (total absolute imbalance cannot
-    exceed unassigned incident darts, so every part is balanced at a
-    completed vertex).  Parts are checked for connectivity at
-    completion.
+    An oriented cover passes through each vertex by a fixed-point-free
+    bijection from in-edges to out-edges.  Conversely every such choice
+    whose walks never use both darts of one edge is an oriented cover,
+    its walks being the circuits and their orientation at once
+    (compatible circuit decompositions, Fleischner 1990).  At a cubic
+    vertex the two bijections are its two rotations (Heffter-Edmonds).
 
-    Reversing every part of an oriented cover gives another one, and
-    only one of each reversal pair needs searching.  The anchor is the
-    first vertex to complete.  Let o_1..o_k be its outgoing darts in
-    placement order, i_j the reverse of o_j, a the part of o_1 and b
-    the part of i_1; let f be the least j with i_j in a and h the least
-    j with o_j in b (both exist, as a and b balance at the anchor).
-    Reversal swaps the parts of o_j and i_j, so it swaps a with b and f
-    with h; the subtree is cut where f > h, and every cover keeps an
-    orientation.  Ties (f == h, impossible on a cubic host) keep both,
-    and covers are deduplicated by canonical form.
+    Vertices come by degree, then most neighbours already placed, then
+    label.  At each, the passages (in-darts) pick an unused out-dart in
+    neighbour order, never one that leaves the last passage a fixed
+    point.  Each pick links two chains of darts; every open chain keeps
+    its end darts and the edge mask of its darts, so the pick is cut in
+    constant time where the two masks share an edge (the joined chain
+    would hold both of its darts).  Inverting every bijection reverses
+    every walk, so the first vertex keeps a bijection only when it is
+    no larger than its inverse.  One node is counted per completed
+    vertex.  A circuit through a vertex twice has several tours, so
+    covers repeat among the leaves; each is built once.  Runs
+    iteratively, one stack level per passage, and polls the deadline
+    per passage.
     """
-    edges = _search_order(g)
-    n_darts = 2 * len(edges)
-    tail = [0] * n_darts
-    head = [0] * n_darts
-    last_edge: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        tail[2 * i], head[2 * i] = u, v
-        tail[2 * i + 1], head[2 * i + 1] = v, u
-        last_edge[u] = last_edge[v] = i
-    anchor_depth = -1
-    anchor_out: list[int] = []
-    if edges:
-        anchor = min(last_edge, key=lambda v: (last_edge[v], v))
-        anchor_depth = 2 * last_edge[anchor] + 2
-        anchor_out = [d for d in range(anchor_depth) if tail[d] == anchor]
+    edges = sorted(g.edges)
+    # dart 2i runs edges[i] from its smaller end and dart 2i + 1 back, so
+    # d ^ 1 reverses d, and the out-darts of a vertex ascend with the
+    # neighbour they reach
+    tail = [v for e in edges for v in e]
+    outs: list[list[int]] = [[] for _ in range(g.n)]
+    for d, t in enumerate(tail):
+        outs[t].append(d)
 
-    part_of = [-1] * n_darts
-    part_edges: list[int] = []          # edge bitmask per part
-    part_imb: list[list[int]] = []      # per part, per vertex imbalance
-    rem = [0] * g.n                     # unassigned darts incident to v
-    for v in range(g.n):
-        rem[v] = 2 * g.degree(v)
-    total_imb = [0] * g.n               # sum over parts of |imbalance|
-
-    found: dict[tuple, CircuitDoubleCover] = {}
-
-    def record() -> None:
-        groups: dict[int, list[int]] = {}
-        for d, p in enumerate(part_of):
-            groups.setdefault(p, []).append(d)
-        circuits = []
-        orientation = []
-        for p in sorted(groups):
-            darts = groups[p]
-            part = [(tail[d], head[d]) for d in darts]
-            if not _connected(_adjacency(part)):
-                return
-            circuits.append([normalize_edge(u, v) for u, v in part])
-            orientation.append(part)
-        deadline.record(found, CircuitDoubleCover.build(circuits, orientation))
-
-    def reversal_cut() -> bool:
-        a = part_of[anchor_out[0]]
-        b = part_of[anchor_out[0] ^ 1]
-        f = next(j for j, o in enumerate(anchor_out) if part_of[o ^ 1] == a)
-        h = next(j for j, o in enumerate(anchor_out) if part_of[o] == b)
-        return f > h
-
-    def assign(d: int) -> None:
-        if deadline.hit or deadline.tick():
-            return
-        if d == anchor_depth and reversal_cut():
-            return
-        if d == n_darts:
-            record()
-            return
-        bit = 1 << (d >> 1)
-        t, h = tail[d], head[d]
-        banned = part_of[d - 1] if d & 1 else -1
-        n_parts = len(part_edges)
-        for p in range(n_parts + 1):
-            if p == banned:
-                continue
-            if p < n_parts:
-                if part_edges[p] & bit:
-                    continue
-                imb = part_imb[p]
-                dt = 1 if imb[t] >= 0 else -1
-                dh = -1 if imb[h] > 0 else 1
-            else:
-                dt = dh = 1
-            if total_imb[t] + dt > rem[t] - 1 or \
-                    total_imb[h] + dh > rem[h] - 1:
-                continue
-            if p == n_parts:
-                part_edges.append(0)
-                part_imb.append([0] * g.n)
-                imb = part_imb[p]
-            part_of[d] = p
-            part_edges[p] |= bit
-            imb[t] += 1
-            imb[h] -= 1
-            total_imb[t] += dt
-            total_imb[h] += dh
-            rem[t] -= 1
-            rem[h] -= 1
-
-            assign(d + 1)
-
-            rem[t] += 1
-            rem[h] += 1
-            total_imb[t] -= dt
-            total_imb[h] -= dh
-            imb[t] -= 1
-            imb[h] += 1
-            part_edges[p] &= ~bit
-            part_of[d] = -1
-            if p == n_parts:
-                part_edges.pop()
-                part_imb.pop()
-            if deadline.hit:
-                return
-
-    assign(0)
-    return found
-
-
-def _enumerate_rotations(g: SimpleGraph, deadline: _Deadline
-                         ) -> dict[tuple, CircuitDoubleCover]:
-    """Backtrack over the rotation systems of a cubic host.
-
-    An oriented cover of a cubic graph passes through each vertex by a
-    fixed-point-free bijection from in-edges to out-edges, which is one
-    of the two cyclic rotations of its three neighbours.  So the
-    oriented covers are the rotation systems whose face walks are all
-    cycles (Heffter-Edmonds), and each walk is a circuit and its
-    orientation at once.  Mirroring every rotation reverses every walk,
-    so the first vertex keeps one rotation.  The others come in order
-    of most neighbours already placed (then the least label).  After
-    each choice the face chains through the new vertex are walked as
-    far as they are determined, and a chain that repeats a vertex is
-    cut, including one that returns to the new vertex through another
-    passage.  Runs iteratively, one stack level per vertex.
-    """
-    nbrs = [sorted(g.adjacency[v]) for v in range(g.n)]
-    # rots[v][r] maps the in-neighbour of a passage to its out-neighbour;
-    # the two rotations are each other's inverse
-    rots = [({a: b, b: c, c: a}, {a: c, c: b, b: a}) for a, b, c in nbrs]
-    turn: list[dict[int, int] | None] = [None] * g.n
-    back: list[dict[int, int] | None] = [None] * g.n
-
+    # vertices by degree, then most neighbours already placed, then
+    # label: the least rank (degree * n - placed) * n + label
+    n = g.n
+    rank = [len(outs[v]) * n * n + v for v in range(n)]
+    left = {v for v in range(n) if outs[v]}
     order: list[int] = []
-    placed_nbrs = [0] * g.n             # -1 once placed
-    heap = [(0, v) for v in range(g.n)]
-    while heap:
-        k, v = heapq.heappop(heap)
-        if placed_nbrs[v] != -k:
-            continue                    # stale entry
+    while left:
+        v = min(left, key=rank.__getitem__)
+        left.remove(v)
         order.append(v)
-        placed_nbrs[v] = -1
-        for w in nbrs[v]:
-            if placed_nbrs[w] >= 0:
-                placed_nbrs[w] += 1
-                heapq.heappush(heap, (-placed_nbrs[w], w))
+        for o in outs[v]:
+            rank[tail[o ^ 1]] -= n
 
-    def repeats(v: int) -> bool:
-        """Does a chain through ``v`` visit some vertex twice?"""
-        for x, y in turn[v].items():
-            seen = {v}
-            a, b = v, y                 # forward from the dart v -> y
-            while b not in seen and turn[b] is not None:
-                seen.add(b)
-                a, b = b, turn[b][a]
-            if b == v:
-                if a != x:              # back through another passage
-                    return True
-                continue                # a closed cycle
-            if b in seen:
-                return True
-            end = b                     # unplaced; the chain may close there
-            a, b = x, v                 # backward from the dart x -> v
-            while a != end:
-                if a in seen:
-                    return True
-                seen.add(a)
-                if back[a] is None:
-                    break
-                a, b = back[a][b], a
-        return False
+    # per passage: its in-dart, its vertex's out-darts and the number of
+    # passages after it at the vertex
+    p_in: list[int] = []
+    p_outs: list[list[int]] = []
+    p_left: list[int] = []
+    for v in order:
+        p_in += [o ^ 1 for o in outs[v]]
+        p_outs += [outs[v]] * len(outs[v])
+        p_left += range(len(outs[v]) - 1, -1, -1)
+    n_pass = len(p_in)
+    first_last = len(outs[order[0]]) - 1 if n_pass else -1
+    succ = [-1] * len(tail)             # in-dart -> out-dart at its head
+    pred = [-1] * len(tail)
+
+    def options(p: int) -> list[int]:
+        """The out-darts passage ``p`` may take, last first.  While the
+        out-dart back to the last neighbour is free, the second-to-last
+        passage must take it."""
+        outs_p = p_outs[p]
+        if p_left[p] == 1 and pred[outs_p[-1]] < 0:
+            return [outs_p[-1]]
+        back = p_in[p] ^ 1
+        return [o for o in reversed(outs_p) if pred[o] < 0 and o != back]
+
+    # every open chain of linked darts keeps, at both of its end darts,
+    # the dart at its other end and the edge mask of its darts
+    other = list(range(len(tail)))
+    emask = [1 << (d >> 1) for d in range(len(tail))]
+    # per passage: the chain ends and masks its link joined, for undoing
+    joined: list[tuple[int, int, int, int] | None] = [None] * n_pass
+
+    def mirrored() -> bool:
+        """Is the first vertex's bijection larger than its inverse?"""
+        return [succ[d] for d in p_in[:first_last + 1]] > \
+            [pred[o] ^ 1 for o in p_outs[0]]
 
     found: dict[tuple, CircuitDoubleCover] = {}
+    built: set[tuple[int, ...]] = set()  # walk edge masks, sorted
+    closes = [0] * n_pass               # per passage: mask of the walk
+                                        # its link closed, else 0
 
     def record() -> None:
-        used: set[Arc] = set()
+        key = tuple(sorted(m for m in closes if m))
+        if key in built:
+            return
+        built.add(key)
         walks = []
-        for u in range(g.n):
-            for w in nbrs[u]:
-                walk = []
-                a, b = u, w
-                while (a, b) not in used:
-                    used.add((a, b))
-                    walk.append((a, b))
-                    a, b = b, turn[b][a]
-                if walk:
-                    walks.append(walk)
+        for d, mask in zip(p_in, closes):
+            if mask:
+                walk = [(tail[d], tail[d ^ 1])]
+                x = succ[d]
+                while x != d:
+                    walk.append((tail[x], tail[x ^ 1]))
+                    x = succ[x]
+                walks.append(walk)
         deadline.record(found, CircuitDoubleCover.build(walks, walks))
 
-    tried = [0] * g.n                   # rotations tried at each depth
-    depth = 0
+    if not n_pass:
+        record()                        # no edges: the empty cover
+        return found
+    opts: list[list[int]] = [[] for _ in range(n_pass)]  # untried options
+    opts[0] = options(0)
+    depth, steps = 0, 0
     while depth >= 0 and not deadline.hit:
-        if depth == g.n:
-            record()
+        d = p_in[depth]
+        o = succ[d]
+        if o >= 0:                      # undo the link taken here
+            pred[o] = -1
+            if joined[depth]:
+                a, b, emask[a], emask[b] = joined[depth]
+                other[a], other[b] = d, o
+                joined[depth] = None
+        if not opts[depth]:
+            succ[d] = -1
             depth -= 1
             continue
-        v = order[depth]
-        r = tried[depth]
-        if r == (2 if depth else 1):
-            turn[v] = back[v] = None
-            tried[depth] = 0
-            depth -= 1
-            continue
-        tried[depth] = r + 1
-        turn[v], back[v] = rots[v][r], rots[v][1 - r]
-        if not repeats(v):
+        o = opts[depth].pop()
+        succ[d], pred[o] = o, d
+        steps += 1
+        if not steps % 512 and deadline.late():
+            break
+        # the link d -> o joins the chain a .. d to the chain o .. b
+        a = other[d]
+        if a == o:                      # one chain: it closes a walk
+            closes[depth] = emask[d]
+        else:
+            mask_a, mask_b = emask[d], emask[o]
+            if mask_a & mask_b:         # both darts of some edge
+                continue
+            b = other[o]
+            closes[depth] = 0
+            joined[depth] = a, b, mask_a, mask_b
+            other[a], other[b] = b, a
+            emask[a] = emask[b] = mask_a | mask_b
+        if not p_left[depth]:
+            if depth == first_last and mirrored():
+                continue
             deadline.tick()
+        if depth + 1 == n_pass:
+            record()
+        else:
             depth += 1
+            opts[depth] = options(depth)
     return found
 
 
@@ -777,8 +696,6 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
                 return
             circuits.append(part)
         cover = CircuitDoubleCover.build(circuits)
-        if cover.canonical_form() in found:
-            return      # found before: the search reaches each cover twice
         try:
             parts = _orientation(cover.circuits, deadline)
         except TimeBudgetExceeded:
@@ -801,10 +718,16 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
         # the two trailing entries are fresh parts
         du = [-1 if m & bu else 1 for m in part_odd] + [1, 1]
         dv = [-1 if m & bv else 1 for m in part_odd] + [1, 1]
+        # a part with the members of the one before it was opened with
+        # it by one edge; the twins are interchangeable, so the later
+        # one is never taken without the earlier
+        twin = [j > 0 and part_members[j] == part_members[j - 1]
+                for j in range(n_parts)] + [False, False]
         return [(pa, pb, du[pa] + du[pb], dv[pa] + dv[pb])
-                for pa in range(n_parts + 1)
+                for pa in range(n_parts + 1) if not twin[pa]
                 for pb in range(pa + 1, n_parts + (2 if pa == n_parts else 1))
-                if du[pa] + du[pb] <= room_u and dv[pa] + dv[pb] <= room_v]
+                if (pa == pb - 1 or not twin[pb])
+                and du[pa] + du[pb] <= room_u and dv[pa] + dv[pb] <= room_v]
 
     frames: list[list] = []     # per open edge: pairs, next pair, parts before
     enter = True
@@ -866,13 +789,12 @@ def enumerate_covers(
     """Exhaustively list circuit double covers of a small graph.
 
     With ``orientable_only`` (the default) only orientable covers are
-    produced, each carrying a witness: on a host with edges whose every
-    vertex has degree 3 by the rotation search, on any other host by the
-    dart-partition search.  Otherwise ALL covers are produced by the
-    slot-partition oracle, which decides each cover's orientability as
-    it finds it (witnesses are attached where they exist).  That
-    decision shares the time budget: a cover still undecided when it
-    runs out is left out of the result, which is then not ``complete``.
+    produced, each carrying a witness, by the transition search.
+    Otherwise ALL covers are produced by the slot-partition oracle,
+    which decides each cover's orientability as it finds it (witnesses
+    are attached where they exist).  That decision shares the time
+    budget: a cover still undecided when it runs out is left out of the
+    result, which is then not ``complete``.
 
     ``max_edges`` guards against oversized hosts (EdgeLimitExceeded);
     ``time_budget`` (seconds) turns long searches into flagged partial
@@ -889,12 +811,10 @@ def enumerate_covers(
         raise ValueError(f"limit must be at least 1, got {limit}")
     start = time.monotonic()
     deadline = _Deadline(time_budget, limit)
-    if not orientable_only:
-        search, enumerate_ = "slot", _enumerate_all
-    elif g.edges and all(len(nb) == 3 for nb in g.adjacency.values()):
-        search, enumerate_ = "rotation", _enumerate_rotations
+    if orientable_only:
+        search, enumerate_ = "transition", _enumerate_transitions
     else:
-        search, enumerate_ = "dart", _enumerate_oriented
+        search, enumerate_ = "slot", _enumerate_all
     found = enumerate_(g, deadline)
     return EnumerationResult(
         covers=tuple(found[key] for key in sorted(found)),

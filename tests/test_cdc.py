@@ -16,7 +16,7 @@ from cdclab.apollonian import (
 )
 from cdclab.cdc import (
     _Deadline,
-    _enumerate_oriented,
+    _enumerate_all,
     CircuitDoubleCover,
     CircuitReport,
     CoverReport,
@@ -82,15 +82,6 @@ def _relabel(g, seed):
     Random(seed).shuffle(perm)
     return SimpleGraph(g.n, frozenset(
         normalize_edge(perm[u], perm[v]) for u, v in g.edges)), perm
-
-
-def _dart_search(g):
-    """The dart search alone, whatever the host's degrees: its covers in
-    canonical order and its node count."""
-    deadline = _Deadline(None, None)
-    found = _enumerate_oriented(g, deadline)
-    assert not deadline.hit
-    return [found[key] for key in sorted(found)], deadline.nodes
 
 
 def test_triangle_is_a_cycle():
@@ -227,15 +218,15 @@ def test_enumerators_agree_on_small_graphs(name, m):
 @pytest.mark.parametrize("name", ["k4", "prism", "cube", "wheel:4",
                                   "wheel:5", "k4^t"])
 def test_dart_search_is_label_independent(name, seed):
-    # the search order and the reversal cut both depend on the labels;
+    # the vertex order and the reversal cut both depend on the labels;
     # the cover set must not
     if name == "k4^t":
         g = underlying_graph(complete_truncation(k4())[0])
     else:
         g = underlying_graph(select(name))
     g2, perm = _relabel(g, seed)
-    base, _ = _dart_search(g)
-    moved, _ = _dart_search(g2)
+    base = require_complete(enumerate_covers(g, max_edges=18)).covers
+    moved = require_complete(enumerate_covers(g2, max_edges=18)).covers
     forms = {c.canonical_form() for c in moved}
     assert forms == {CircuitDoubleCover.build(
         [[(perm[u], perm[v]) for u, v in c] for c in cover.circuits]
@@ -250,19 +241,20 @@ def test_dart_search_is_label_independent(name, seed):
 
 
 def test_dart_search_node_counts():
-    # node counts are deterministic; the sorted edge order without the
-    # reversal cut took 84,973 nodes on wheel:6 and 20,790 on K4^t
+    # node counts are deterministic; the dart search this replaced took
+    # 84,973 nodes on wheel:6 and 20,790 on K4^t in sorted edge order
+    # without its reversal cut
     wheel6 = enumerate_covers(underlying_graph(wheel(6)))
-    k4t, k4t_nodes = _dart_search(
-        underlying_graph(complete_truncation(k4())[0]))
+    k4t = enumerate_covers(underlying_graph(complete_truncation(k4())[0]),
+                           max_edges=18)
     assert wheel6.complete and len(wheel6.covers) == 250
-    assert wheel6.search == "dart"
-    assert len(k4t) == 1
+    assert wheel6.search == "transition"
+    assert k4t.complete and len(k4t.covers) == 1
     assert wheel6.nodes <= 84_973 // 4
-    assert k4t_nodes <= 20_790 // 4
+    assert k4t.nodes <= 20_790 // 4
 
 
-def _cubic_host(name):
+def _host(name):
     head, _, arg = name.partition(":")
     if head == "prism":
         return underlying_graph(prism(int(arg)))
@@ -273,21 +265,55 @@ def _cubic_host(name):
     return underlying_graph(select(name))
 
 
-# prism:n is the n-gonal prism (prism:4 is the cube); dual:s is the dual
-# of the seed-s 4-stack Apollonian network
-@pytest.mark.parametrize("name", [
-    "k4", "prism:3", "prism:4", "prism:5", "prism:6", "prism:7",
-    "k4^t", "prism^t", "dual:0", "dual:1", "dual:2", "dual:3", "dual:4",
-    "dual:5"])
+# per host, a SHA-256 (first 20 hex digits) of its canonical cover sets
+# under the identity and two seeded relabellings, as found by the
+# rotation search (cubic hosts) and the dart search (the others) that
+# the transition search replaced; prism:n is the n-gonal prism (prism:4
+# is the cube), dual:s the dual of the seed-s 4-stack Apollonian network
+CROSS_CHECK_GOLDEN = {
+    "k4": "c568f75f4abec30b9521",
+    "prism:3": "4d2a4aee8260494b438a",
+    "prism:4": "9c55d821e373447669f3",
+    "prism:5": "19d6962b8a7293b3ba4c",
+    "prism:6": "35e9c4d0e22b554cb7a0",
+    "prism:7": "67ccc200b2b2b3be51fd",
+    "k4^t": "57d1f5e765b479a747e5",
+    "prism^t": "14a131ef765584726f14",
+    "dual:0": "dbffef08db772fe74717",
+    "dual:1": "dea8c12c5dc0e4e52493",
+    "dual:2": "5a4fa734dca4121e9b00",
+    "dual:3": "1b511d09fdf8c728d60c",
+    "dual:4": "e486fdf3cb83ce8f5386",
+    "dual:5": "bcdf6516426ee731eddb",
+    "wheel:4": "1bb5a41d198c2dd2560b",
+    "wheel:5": "281bf6252d2db76fd90b",
+    "wheel:6": "f1e6c7d0758a78036d94",
+    "wheel:7": "89408b463feb70546c4f",
+    "octahedron": "0bba984916960ef2a2f8",
+}
+# the oracle takes seconds here, so it checks the unrelabelled host only
+ORACLE_UNRELABELLED = {"prism^t", "octahedron"}
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK_GOLDEN))
 def test_rotation_search_matches_dart_search(name):
-    g = _cubic_host(name)
-    # the host and two seeded relabellings
-    for g2 in (g, _relabel(g, 0)[0], _relabel(g, 1)[0]):
+    # the transition search against the cover sets of the two searches
+    # it replaced, and against the slot oracle's orientable covers
+    g = _host(name)
+    sha = hashlib.sha256()
+    for seed in (None, 0, 1):
+        g2 = g if seed is None else _relabel(g, seed)[0]
         full = require_complete(enumerate_covers(g2, max_edges=27))
-        assert full.search == "rotation"
-        dart, _ = _dart_search(g2)
+        assert full.search == "transition"
         forms = [c.canonical_form() for c in full.covers]
-        assert forms == [c.canonical_form() for c in dart], name
+        for form in forms:
+            sha.update(f"{form}\n".encode())
+        sha.update(b"--\n")
+        if seed is None or name not in ORACLE_UNRELABELLED:
+            oracle = require_complete(
+                enumerate_covers(g2, orientable_only=False, max_edges=27))
+            assert forms == [c.canonical_form()
+                             for c in oracle.orientable_covers], name
         for cover in full.covers:
             assert validate_oriented_cover(
                 g2, cover, OrientedCover(cover.orientation)) == [], name
@@ -296,12 +322,14 @@ def test_rotation_search_matches_dart_search(name):
         assert len(found.covers) == min(2, len(forms))
         assert {c.canonical_form() for c in found.covers} <= set(forms)
         assert found.limit_reached == (len(forms) >= 2)
+    assert sha.hexdigest()[:20] == CROSS_CHECK_GOLDEN[name]
 
 
 def test_rotation_search_node_counts():
     # the dart search took 73,786 nodes on prism^t and 13,220,465 on
-    # cube^t; without walking chains backwards the rotation search takes
-    # 1.7 million on the 20-stack dual
+    # cube^t; a chain check that looks forwards only takes 1.7 million
+    # on the 20-stack dual.  On cubic hosts the transition search counts
+    # the nodes of the rotation search it replaced: 137, 950 and 9,542
     prism_t = enumerate_covers(
         underlying_graph(complete_truncation(prism())[0]), max_edges=27)
     cube_t = enumerate_covers(
@@ -318,13 +346,17 @@ def test_rotation_search_node_counts():
 
 
 def test_rotation_search_does_not_recurse():
-    # 1,200 vertices, far past the recursion limit in depth
-    g = underlying_graph(prism(600))
-    start = time.monotonic()
-    result = enumerate_covers(g, max_edges=10**4, time_budget=1.0)
-    assert time.monotonic() - start < 3
-    assert result.search == "rotation"
-    assert not result.complete and not result.limit_reached
+    # prism(600) has 1,200 vertices, far past the recursion limit in
+    # depth; wheel(300) has 300 passages at the hub, inside which the
+    # deadline must still be polled
+    for g, seconds in ((underlying_graph(prism(600)), 3),
+                       (underlying_graph(wheel(300)), 2)):
+        start = time.monotonic()
+        result = enumerate_covers(g, max_edges=10**4, time_budget=1.0)
+        assert time.monotonic() - start < seconds
+        assert result.search == "transition"
+        assert not result.complete and not result.limit_reached
+        assert result.covers
 
 
 def test_orientation_must_align_with_circuits():
@@ -575,6 +607,38 @@ def test_orientability_matches_brute_force(name):
         assert (witness is not None) == (cover.orientation is not None)
         if witness is not None:
             assert validate_oriented_cover(g, cover, witness) == []
+
+
+def test_oracle_builds_each_cover_once(monkeypatch):
+    # two parts opened by one edge stay interchangeable while their
+    # members are equal; taking the later only with the earlier keeps
+    # the search from reaching each cover twice
+    built = Counter()
+    build = CircuitDoubleCover.build.__func__
+
+    def counting_build(cls, circuits, orientation=None):
+        cover = build(cls, circuits, orientation)
+        built[cover.canonical_form()] += 1
+        return cover
+
+    class Counting(_Deadline):
+        def __init__(self):
+            super().__init__(None, None)
+            self.recorded = Counter()
+
+        def record(self, found, cover):
+            self.recorded[cover.canonical_form()] += 1
+            super().record(found, cover)
+
+    monkeypatch.setattr(CircuitDoubleCover, "build",
+                        classmethod(counting_build))
+    for name in ["k4", "prism", "cube", "wheel:4", "wheel:5", "wheel:6"]:
+        built.clear()
+        deadline = Counting()
+        found = _enumerate_all(underlying_graph(select(name)), deadline)
+        assert not deadline.hit, name
+        assert deadline.recorded == {form: 1 for form in found}, name
+        assert built == deadline.recorded, name
 
 
 def test_oracle_node_counts():

@@ -330,14 +330,14 @@ def test_census_takes_stacked_selectors(tmp_path, capsys):
     assert entries["apollonian-dual:2,0,3"]["orientable_covers"] == 1
     assert doc["verdict"] == "pass"
     assert {name: e["timing"]["search"] for name, e in entries.items()} == {
-        "apollonian-dual:0,1": "rotation",
-        "apollonian-dual:2,0,3": "rotation",
-        "wheel:4": "dart"}
+        "apollonian-dual:0,1": "transition",
+        "apollonian-dual:2,0,3": "transition",
+        "wheel:4": "transition"}
 
 
 @pytest.mark.parametrize("graph,flags,search", [
-    ("cube", [], "rotation"),
-    ("wheel:4", [], "dart"),
+    ("cube", [], "transition"),
+    ("wheel:4", [], "transition"),
     ("cube", ["--all"], "slot"),
 ])
 def test_enumerate_reports_the_search(capsys, graph, flags, search):
