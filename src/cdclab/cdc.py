@@ -15,8 +15,10 @@ cross-check.
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -111,6 +113,10 @@ def _circuit_key(c: frozenset[Edge]) -> tuple[Edge, ...]:
     return tuple(sorted(c))
 
 
+_CYCLE = CircuitReport(True, True)
+_CIRCUIT = CircuitReport(True, False)
+
+
 def _check_known_edges(g: SimpleGraph, edges: Iterable[Edge]) -> list[str]:
     return [f"edge {e} not in host graph"
             for e in sorted(set(edges)) if e not in g.edges]
@@ -121,14 +127,16 @@ def _circuit_report(circuit: frozenset[Edge]) -> CircuitReport:
     if not circuit:
         return CircuitReport(False, False, ("empty edge set",))
     adj = _adjacency(circuit)
-    odd = [v for v, nbrs in adj.items() if len(nbrs) % 2]
+    even = not any(len(nbrs) & 1 for nbrs in adj.values())
+    connected = _connected(adj)
+    if even and connected:
+        # every degree is at least 2, so all are 2 iff |V| = |E|
+        return _CYCLE if len(adj) == len(circuit) else _CIRCUIT
     problems = [f"odd degree {len(adj[v])} at vertex {v}"
-                for v in sorted(odd)]
-    if not _connected(adj):
+                for v in sorted(adj) if len(adj[v]) % 2]
+    if not connected:
         problems.append("edge set is not connected")
-    valid = not problems
-    is_cycle = valid and all(len(nbrs) == 2 for nbrs in adj.values())
-    return CircuitReport(valid, is_cycle, tuple(problems))
+    return CircuitReport(False, False, tuple(problems))
 
 
 def validate_circuit(g: SimpleGraph, edges: Iterable[Sequence[int]]
@@ -149,15 +157,20 @@ def validate_cover(g: SimpleGraph,
                    ) -> CoverReport:
     """Check the double-cover law: every edge in exactly two circuits.
 
-    Each circuit is normalized once; the unknown-edge and per-edge
+    A circuit given as a frozenset of host edges is taken as it is;
+    any other is normalized first.  The unknown-edge and per-edge
     diagnostics are built only when something is wrong.  Never raises;
     failures come back as diagnostics.
     """
-    sets = [_normalize_circuit(c) for c in circuits]
+    edges = g.edges
+    sets: list[frozenset[Edge]] = []
     problems: list[str] = []
     reports: list[CircuitReport] = []
-    for i, c in enumerate(sets):
-        if c <= g.edges:
+    for i, c in enumerate(circuits):
+        if not (isinstance(c, frozenset) and c <= edges):
+            c = _normalize_circuit(c)
+        sets.append(c)
+        if c <= edges:
             rep = _circuit_report(c)
             if not rep.valid:
                 problems.append(f"circuit {i}: " + "; ".join(rep.problems))
@@ -167,16 +180,14 @@ def validate_cover(g: SimpleGraph,
             problems.append(f"circuit {i}: unknown edges")
         reports.append(rep)
 
-    multiplicity: Counter[Edge] = Counter()
-    for c in sets:
-        multiplicity.update(c)
-    if multiplicity.keys() != g.edges or \
+    multiplicity = Counter(chain.from_iterable(sets))
+    if multiplicity.keys() != edges or \
             any(m != 2 for m in multiplicity.values()):
-        for e in sorted(g.edges):
+        for e in sorted(edges):
             seen = multiplicity.get(e, 0)
             if seen != 2:
                 problems.append(f"edge {e} covered {seen} times, need 2")
-        for e in sorted(set(multiplicity) - g.edges):
+        for e in sorted(multiplicity.keys() - edges):
             problems.append(f"edge {e} not in host graph")
 
     valid = not problems
@@ -237,9 +248,11 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
     """The witness parts of :func:`check_orientability`, or None.
 
     Edge ids follow first appearance, and x_e = 1 when e's first
-    circuit runs it from its larger end.  Each union-find class is
-    rooted at its least edge, so trying 0 before 1 in root order finds
-    the least solution.  With ``deadline``, raises
+    circuit runs it from its larger end.  The parity union-find is
+    inline: a find halves its path, and each class is rooted at its
+    least edge, so no parent is larger than its child and one pass in
+    id order flattens every class.  Trying 0 before 1 in root order
+    then finds the least solution.  With ``deadline``, raises
     :class:`TimeBudgetExceeded` once the budget has run out, before
     building anything if it already has.
     """
@@ -249,41 +262,48 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
     parent: list[int] = []
     parity: list[int] = []      # x_e xor x_parent
     rows = []                   # per circuit: (edge, id, runs it back)
-
-    def find(x: int) -> tuple[int, int]:
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        p = 0
-        for y in reversed(path):
-            p ^= parity[y]
-            parity[y] = p
-            parent[y] = x
-        return x, p
-
     wide: list[list[tuple[int, int]]] = []
     for circuit in circuits:
         # per vertex: (edge, c) with "the edge leaves here" = x_e ^ c
         at: dict[int, list[tuple[int, int]]] = {}
         row = []
         for e in sorted(circuit):
-            back = e in edge_id
-            eid = edge_id.setdefault(e, len(parent))
+            eid = edge_id.get(e)
+            back = eid is not None
             if not back:
+                eid = edge_id[e] = len(parent)
                 parent.append(eid)
                 parity.append(0)
             row.append((e, eid, back))
-            at.setdefault(e[0], []).append((eid, 1 ^ back))
-            at.setdefault(e[1], []).append((eid, back))
+            u, v = e
+            lits = at.get(u)
+            if lits is None:
+                at[u] = [(eid, 1 ^ back)]
+            else:
+                lits.append((eid, 1 ^ back))
+            lits = at.get(v)
+            if lits is None:
+                at[v] = [(eid, 0 ^ back)]
+            else:
+                lits.append((eid, 0 ^ back))
         rows.append(row)
         for lits in at.values():
             if len(lits) > 2:
                 wide.append(lits)
                 continue
-            (a, ca), (b, cb) = lits
-            (ra, pa), (rb, pb) = find(a), find(b)
-            d = pa ^ pb ^ 1 ^ ca ^ cb
+            d = 1                       # x_a ^ x_b ^ ca ^ cb = 1
+            roots = []
+            for x, c in lits:
+                d ^= c
+                while parent[x] != x:
+                    y = parent[x]
+                    if parent[y] != y:  # halve: skip to the grandparent
+                        parity[x] ^= parity[y]
+                        parent[x] = y = parent[y]
+                    d ^= parity[x]
+                    x = y
+                roots.append(x)
+            ra, rb = roots
             if ra == rb:
                 if d:
                     return None
@@ -291,6 +311,10 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
                 parent[rb], parity[rb] = ra, d
             else:
                 parent[ra], parity[ra] = rb, d
+    for x, y in enumerate(parent):      # y < x is already flat
+        if y != x:
+            parent[x] = parent[y]
+            parity[x] ^= parity[y]
 
     # constraint k needs need[k] more leaving edges among free[k] open
     need = [len(lits) // 2 for lits in wide]
@@ -298,8 +322,12 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
     occ: dict[int, list[tuple[int, int]]] = {}
     for k, lits in enumerate(wide):
         for eid, c in lits:
-            r, p = find(eid)
-            occ.setdefault(r, []).append((k, p ^ c))
+            r = parent[eid]
+            entry = (k, parity[eid] ^ c)
+            if r in occ:
+                occ[r].append(entry)
+            else:
+                occ[r] = [entry]
     order = sorted(occ)
 
     def place(r: int, x: int, sign: int) -> bool:
@@ -327,7 +355,7 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
         return None
 
     value = {r: t - 1 for r, t in zip(order, tried)}
-    x = [value.get(r, 0) ^ p for r, p in map(find, range(len(parent)))]
+    x = [value.get(r, 0) ^ p for r, p in zip(parent, parity)]
     return tuple(frozenset((e[1], e[0]) if x[eid] ^ back else e
                            for e, eid, back in row) for row in rows)
 
@@ -425,9 +453,12 @@ def require_complete(result: EnumerationResult) -> EnumerationResult:
 
 class _Deadline:
     """The search's stop flag: set when the time budget runs out or
-    when ``limit`` distinct covers have been recorded."""
+    when ``limit`` distinct covers have been recorded.  ``covers``
+    holds the covers recorded in the order of their canonical forms,
+    ``keys``, both kept sorted as covers come."""
 
-    __slots__ = ("at", "hit", "nodes", "limit", "limit_reached")
+    __slots__ = ("at", "hit", "nodes", "limit", "limit_reached", "keys",
+                 "covers")
 
     def __init__(self, budget: float | None, limit: int | None):
         self.at = None if budget is None else time.monotonic() + budget
@@ -435,6 +466,8 @@ class _Deadline:
         self.nodes = 0
         self.limit = limit
         self.limit_reached = False
+        self.keys: list[tuple] = []
+        self.covers: list[CircuitDoubleCover] = []
 
     def tick(self) -> bool:
         """Count a node; True when the search must stop."""
@@ -454,7 +487,13 @@ class _Deadline:
                cover: CircuitDoubleCover) -> None:
         """Keep the first cover of each canonical form; stop at the
         limit."""
-        found.setdefault(cover.canonical_form(), cover)
+        key = cover.canonical_form()
+        if key in found:
+            return
+        found[key] = cover
+        i = bisect(self.keys, key)
+        self.keys.insert(i, key)
+        self.covers.insert(i, cover)
         if self.limit is not None and len(found) >= self.limit:
             self.hit = self.limit_reached = True
 
@@ -529,7 +568,10 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
     every walk, so the first vertex keeps a bijection only when it is
     no larger than its inverse.  One node is counted per completed
     vertex.  A circuit through a vertex twice has several tours, so
-    covers repeat among the leaves; each is built once.  Runs
+    covers repeat among the leaves; each is built once, straight from
+    its walks' darts: their edges and arcs are the host's own tuples,
+    already normal, and the circuits are sorted by edge list alone,
+    stably, so a circuit walked twice keeps its parts aligned.  Runs
     iteratively, one stack level per passage, and polls the deadline
     per passage.
     """
@@ -538,6 +580,9 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
     # d ^ 1 reverses d, and the out-darts of a vertex ascend with the
     # neighbour they reach
     tail = [v for e in edges for v in e]
+    # per dart: its edge and its arc, shared by every cover built
+    edge_of = [e for e in edges for _ in e]
+    arc = [a for e in edges for a in (e, e[::-1])]
     outs: list[list[int]] = [[] for _ in range(g.n)]
     for d, t in enumerate(tail):
         outs[t].append(d)
@@ -604,13 +649,17 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
         walks = []
         for d, mask in zip(p_in, closes):
             if mask:
-                walk = [(tail[d], tail[d ^ 1])]
+                walk = [d]
                 x = succ[d]
                 while x != d:
-                    walk.append((tail[x], tail[x ^ 1]))
+                    walk.append(x)
                     x = succ[x]
-                walks.append(walk)
-        deadline.record(found, CircuitDoubleCover.build(walks, walks))
+                walks.append((frozenset(map(edge_of.__getitem__, walk)),
+                              frozenset(map(arc.__getitem__, walk))))
+        # stable, so a circuit walked twice keeps its parts aligned
+        walks.sort(key=lambda w: _circuit_key(w[0]))
+        deadline.record(found, CircuitDoubleCover(
+            tuple(c for c, _ in walks), tuple(p for _, p in walks)))
 
     if not n_pass:
         record()                        # no edges: the empty cover
@@ -694,15 +743,13 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
             part = [edges[i] for i in members]
             if not _connected(_adjacency(part)):
                 return
-            circuits.append(part)
-        cover = CircuitDoubleCover.build(circuits)
+            circuits.append(frozenset(part))
+        circuits.sort(key=_circuit_key)
         try:
-            parts = _orientation(cover.circuits, deadline)
+            parts = _orientation(circuits, deadline)
         except TimeBudgetExceeded:
             return      # undecided when the budget ran out: left out
-        if parts is not None:
-            cover = CircuitDoubleCover(cover.circuits, parts)
-        deadline.record(found, cover)
+        deadline.record(found, CircuitDoubleCover(tuple(circuits), parts))
 
     def pairs(i: int) -> list[tuple[int, int, int, int]]:
         """The part pairs edge ``i`` may join, with the change each
@@ -802,7 +849,9 @@ def enumerate_covers(
     ``limit`` stops the search once that many distinct covers (of any
     orientability) have been found; the result then has
     ``limit_reached`` set and is not ``complete``.  The result's
-    ``search`` names the enumerator that ran.
+    ``search`` names the enumerator that ran.  Covers come in the order
+    of their canonical forms, kept as each is recorded, so a search cut
+    by the budget has no sort left to do.
     """
     if len(g.edges) > max_edges:
         raise EdgeLimitExceeded(
@@ -815,9 +864,9 @@ def enumerate_covers(
         search, enumerate_ = "transition", _enumerate_transitions
     else:
         search, enumerate_ = "slot", _enumerate_all
-    found = enumerate_(g, deadline)
+    enumerate_(g, deadline)
     return EnumerationResult(
-        covers=tuple(found[key] for key in sorted(found)),
+        covers=tuple(deadline.covers),
         complete=not deadline.hit,
         orientable_only=orientable_only,
         elapsed=time.monotonic() - start,

@@ -325,6 +325,57 @@ def test_rotation_search_matches_dart_search(name):
     assert sha.hexdigest()[:20] == CROSS_CHECK_GOLDEN[name]
 
 
+# every transition cover of each host, in result order, with its
+# circuits in cover order and its parts aligned with them, as
+# `CircuitDoubleCover.build` made them from the search's walks; c5 is
+# the 5-cycle, whose one cover holds one circuit twice
+TRANSITION_HOSTS = ["wheel:4", "wheel:5", "wheel:6", "wheel:7",
+                    "octahedron", "prism^t", "c5"]
+TRANSITION_GOLDEN = \
+    "11e542c8b50439626ce7d6379749f1af85ea73a67d9072048690a82d2c09c7c2"
+# `validate_cover` reports and `check_orientability` witnesses on every
+# wheel:7 transition cover, in result order
+WHEEL7_CHECK_GOLDEN = \
+    "7d41fc85d6bb582945b62608b12300f1124e92529be0004dba1f2a491bdba003"
+
+
+def _cycle(n):
+    return SimpleGraph(n, frozenset(normalize_edge(i, (i + 1) % n)
+                                    for i in range(n)))
+
+
+def _rows(parts):
+    return tuple(tuple(sorted(p)) for p in parts)
+
+
+def test_transition_covers_match_golden_digest():
+    sha = hashlib.sha256()
+    for name in TRANSITION_HOSTS:
+        g = _cycle(5) if name == "c5" else _host(name)
+        result = require_complete(enumerate_covers(g, max_edges=27))
+        sha.update(f"{name}\n".encode())
+        for cover in result.covers:
+            sha.update(f"{_rows(cover.circuits)} "
+                       f"{_rows(cover.orientation)}\n".encode())
+    (cover,) = result.covers            # c5: the cycle walked both ways
+    forward, backward = cover.orientation
+    assert cover.circuits == (g.edges, g.edges)
+    assert backward == {(v, u) for u, v in forward}
+    assert sha.hexdigest() == TRANSITION_GOLDEN
+
+
+def test_wheel7_checks_match_golden_digest():
+    g = _host("wheel:7")
+    covers = require_complete(enumerate_covers(g)).covers
+    assert len(covers) == 1751
+    sha = hashlib.sha256()
+    for cover in covers:
+        report = validate_cover(g, cover.circuits)
+        witness = check_orientability(g, cover)
+        sha.update(f"{report} {_rows(witness.parts)}\n".encode())
+    assert sha.hexdigest() == WHEEL7_CHECK_GOLDEN
+
+
 def test_rotation_search_node_counts():
     # the dart search took 73,786 nodes on prism^t and 13,220,465 on
     # cube^t; a chain check that looks forwards only takes 1.7 million
@@ -614,12 +665,11 @@ def test_oracle_builds_each_cover_once(monkeypatch):
     # members are equal; taking the later only with the earlier keeps
     # the search from reaching each cover twice
     built = Counter()
-    build = CircuitDoubleCover.build.__func__
+    init = CircuitDoubleCover.__init__
 
-    def counting_build(cls, circuits, orientation=None):
-        cover = build(cls, circuits, orientation)
-        built[cover.canonical_form()] += 1
-        return cover
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[self.canonical_form()] += 1
 
     class Counting(_Deadline):
         def __init__(self):
@@ -630,8 +680,8 @@ def test_oracle_builds_each_cover_once(monkeypatch):
             self.recorded[cover.canonical_form()] += 1
             super().record(found, cover)
 
-    monkeypatch.setattr(CircuitDoubleCover, "build",
-                        classmethod(counting_build))
+    # every cover constructed, by `build` or directly, is counted
+    monkeypatch.setattr(CircuitDoubleCover, "__init__", counting_init)
     for name in ["k4", "prism", "cube", "wheel:4", "wheel:5", "wheel:6"]:
         built.clear()
         deadline = Counting()
@@ -800,6 +850,22 @@ def _validation_inputs():
         (w4, [[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)],
               [(0, 1), (0, 4), (1, 4)], [(0, 2), (0, 3), (2, 3)],
               [(1, 2), (1, 4), (2, 3), (3, 4)]]),
+    ]
+    # frozensets: taken as they are when every edge is a host edge, and
+    # normalized otherwise
+    frozen = [frozenset(map(tuple, c)) for c in triangles]
+    inputs += [
+        (k4_graph, frozen),
+        (k4_graph, [frozenset((v, u) for u, v in c) for c in frozen]),
+        (k4_graph, frozen[:3] + [frozenset({(1, 0), (0, 2), (2, 1)})]),
+        (k4_graph, frozen[:3] + [frozenset({(0, 1), (1, 0), (1, 2)})]),
+        (k4_graph, frozen[:3] + [frozenset({(0, 1), (1, 9), (0, 9)})]),
+        (k4_graph, frozen[:3] + [frozenset({(0, 1), (9, 1), (0, 9)})]),
+        (k4_graph, frozen + frozen[:1]),
+        (k4_graph, frozen[:3] + [frozenset()]),
+        (octa_graph, [octa_graph.edges] * 2),
+        (octa_graph, [frozenset(walk_edges(touching))]
+         + [frozenset(c) for c in octa_faces[2:]]),
     ]
     for cover in enumerate_covers(w4, orientable_only=False).covers:
         inputs.append((w4, cover.circuits))
