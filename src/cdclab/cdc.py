@@ -9,7 +9,9 @@ edge, are the oriented circuits.  On a cubic host the two bijections
 at a vertex are its rotations, so there it searches rotation systems.
 The unrestricted oracle partitions edge slots instead and decides each
 cover's orientability as it finds it; it is the transition search's
-cross-check.
+cross-check.  Both searches are generators of (canonical form, cover)
+pairs that share only a clock (`_Deadline`); `enumerate_covers` alone
+deduplicates, orders and limits the covers they yield.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CorrespondenceMismatch,
@@ -452,29 +454,15 @@ def require_complete(result: EnumerationResult) -> EnumerationResult:
 
 
 class _Deadline:
-    """The search's stop flag: set when the time budget runs out or
-    when ``limit`` distinct covers have been recorded.  ``covers``
-    holds the covers recorded in the order of their canonical forms,
-    ``keys``, both kept sorted as covers come."""
+    """A search's clock: the time budget and the nodes counted so far.
+    ``hit`` is set once :meth:`late` finds the budget spent."""
 
-    __slots__ = ("at", "hit", "nodes", "limit", "limit_reached", "keys",
-                 "covers")
+    __slots__ = ("at", "hit", "nodes")
 
-    def __init__(self, budget: float | None, limit: int | None):
+    def __init__(self, budget: float | None):
         self.at = None if budget is None else time.monotonic() + budget
         self.hit = False
         self.nodes = 0
-        self.limit = limit
-        self.limit_reached = False
-        self.keys: list[tuple] = []
-        self.covers: list[CircuitDoubleCover] = []
-
-    def tick(self) -> bool:
-        """Count a node; True when the search must stop."""
-        self.nodes += 1
-        if self.nodes % 512 == 0:
-            self.late()
-        return self.hit
 
     def late(self) -> bool:
         """True (and the stop flag set) once the time budget is spent."""
@@ -482,20 +470,6 @@ class _Deadline:
             self.hit = True
             return True
         return False
-
-    def record(self, found: dict[tuple, CircuitDoubleCover],
-               cover: CircuitDoubleCover) -> None:
-        """Keep the first cover of each canonical form; stop at the
-        limit."""
-        key = cover.canonical_form()
-        if key in found:
-            return
-        found[key] = cover
-        i = bisect(self.keys, key)
-        self.keys.insert(i, key)
-        self.covers.insert(i, cover)
-        if self.limit is not None and len(found) >= self.limit:
-            self.hit = self.limit_reached = True
 
 
 def _adjacency(edges: Iterable[Edge]) -> dict[int, list[int]]:
@@ -548,7 +522,7 @@ def _search_order(g: SimpleGraph) -> list[Edge]:
 
 
 def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
-                           ) -> dict[tuple, CircuitDoubleCover]:
+                           ) -> Iterator[tuple[tuple, CircuitDoubleCover]]:
     """Backtrack over transition systems; project them to covers.
 
     An oriented cover passes through each vertex by a fixed-point-free
@@ -568,20 +542,20 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
     every walk, so the first vertex keeps a bijection only when it is
     no larger than its inverse.  One node is counted per completed
     vertex.  A circuit through a vertex twice has several tours, so
-    covers repeat among the leaves; each is built once, straight from
-    its walks' darts: their edges and arcs are the host's own tuples,
-    already normal, and the circuits are sorted by edge list alone,
-    stably, so a circuit walked twice keeps its parts aligned.  Runs
-    iteratively, one stack level per passage, and polls the deadline
-    per passage.
+    covers repeat among the leaves; each is built and yielded once, as
+    (canonical form, cover), straight from its walks' darts: their
+    edges and arcs are the host's own tuples, already normal, and the
+    circuits are sorted by edge list alone, stably, so a circuit walked
+    twice keeps its parts aligned, and those edge lists in order are
+    the canonical form.  Runs iteratively, one stack level per passage,
+    and polls the clock once per 512 links.
     """
     edges = sorted(g.edges)
     # dart 2i runs edges[i] from its smaller end and dart 2i + 1 back, so
     # d ^ 1 reverses d, and the out-darts of a vertex ascend with the
     # neighbour they reach
     tail = [v for e in edges for v in e]
-    # per dart: its edge and its arc, shared by every cover built
-    edge_of = [e for e in edges for _ in e]
+    # per dart: its arc, shared by every cover built
     arc = [a for e in edges for a in (e, e[::-1])]
     outs: list[list[int]] = [[] for _ in range(g.n)]
     for d, t in enumerate(tail):
@@ -636,16 +610,16 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
         return [succ[d] for d in p_in[:first_last + 1]] > \
             [pred[o] ^ 1 for o in p_outs[0]]
 
-    found: dict[tuple, CircuitDoubleCover] = {}
     built: set[tuple[int, ...]] = set()  # walk edge masks, sorted
     closes = [0] * n_pass               # per passage: mask of the walk
                                         # its link closed, else 0
 
-    def record() -> None:
-        key = tuple(sorted(m for m in closes if m))
-        if key in built:
-            return
-        built.add(key)
+    def leaf() -> tuple[tuple, CircuitDoubleCover] | None:
+        """The cover the walks make, keyed; None if already built."""
+        masks = tuple(sorted(m for m in closes if m))
+        if masks in built:
+            return None
+        built.add(masks)
         walks = []
         for d, mask in zip(p_in, closes):
             if mask:
@@ -654,20 +628,23 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
                 while x != d:
                     walk.append(x)
                     x = succ[x]
-                walks.append((frozenset(map(edge_of.__getitem__, walk)),
+                # a walk never repeats an edge, and edge ids ascend
+                # with the edges, so this is the circuit's key
+                key = tuple([edges[x >> 1] for x in sorted(walk)])
+                walks.append((key, frozenset(key),
                               frozenset(map(arc.__getitem__, walk))))
         # stable, so a circuit walked twice keeps its parts aligned
-        walks.sort(key=lambda w: _circuit_key(w[0]))
-        deadline.record(found, CircuitDoubleCover(
-            tuple(c for c, _ in walks), tuple(p for _, p in walks)))
+        walks.sort(key=lambda w: w[0])
+        return (tuple(k for k, _, _ in walks), CircuitDoubleCover(
+            tuple(c for _, c, _ in walks), tuple(p for _, _, p in walks)))
 
     if not n_pass:
-        record()                        # no edges: the empty cover
-        return found
+        yield leaf()                    # no edges: the empty cover
+        return
     opts: list[list[int]] = [[] for _ in range(n_pass)]  # untried options
     opts[0] = options(0)
     depth, steps = 0, 0
-    while depth >= 0 and not deadline.hit:
+    while depth >= 0:
         d = p_in[depth]
         o = succ[d]
         if o >= 0:                      # undo the link taken here
@@ -701,20 +678,22 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
         if not p_left[depth]:
             if depth == first_last and mirrored():
                 continue
-            deadline.tick()
+            deadline.nodes += 1
         if depth + 1 == n_pass:
-            record()
+            item = leaf()
+            if item:
+                yield item
         else:
             depth += 1
             opts[depth] = options(depth)
-    return found
 
 
 def _enumerate_all(g: SimpleGraph, deadline: _Deadline
-                   ) -> dict[tuple, CircuitDoubleCover]:
-    """Backtrack over edge slots; yields every cover, each with its
-    orientability decided (a witness attached where one exists) as it
-    is found, so a cut search returns only decided covers.
+                   ) -> Iterator[tuple[tuple, CircuitDoubleCover]]:
+    """Backtrack over edge slots; yields every cover as (canonical
+    form, cover), each with its orientability decided (a witness
+    attached where one exists) as it is found, so a cut search yields
+    only decided covers.
 
     Edges come in :func:`_search_order`, which completes vertices
     early.  Each edge contributes two slots going to two distinct parts
@@ -725,7 +704,7 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
     both ends is read off before anything is mutated, and only pairs
     that pass are placed.  Evenness is then automatic at completion;
     connectivity is checked per part.  Runs iteratively, one stack
-    frame per placed edge.
+    frame per placed edge, and polls the clock once per 512 nodes.
     """
     edges = _search_order(g)
     n_edges = len(edges)
@@ -735,21 +714,22 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
     odd_count = [0] * g.n
     rem_e = [g.degree(v) for v in range(g.n)]
 
-    found: dict[tuple, CircuitDoubleCover] = {}
-
-    def record() -> None:
-        circuits = []
+    def leaf() -> tuple[tuple, CircuitDoubleCover] | None:
+        """The cover the parts make, keyed and decided; None if a part
+        is not connected or the budget ran out before the decision."""
+        keyed = []
         for members in part_members:
             part = [edges[i] for i in members]
             if not _connected(_adjacency(part)):
-                return
-            circuits.append(frozenset(part))
-        circuits.sort(key=_circuit_key)
+                return None
+            keyed.append((_circuit_key(part), frozenset(part)))
+        keyed.sort(key=lambda kc: kc[0])
+        circuits = tuple(c for _, c in keyed)
         try:
             parts = _orientation(circuits, deadline)
         except TimeBudgetExceeded:
-            return      # undecided when the budget ran out: left out
-        deadline.record(found, CircuitDoubleCover(tuple(circuits), parts))
+            return None     # undecided when the budget ran out: left out
+        return tuple(k for k, _ in keyed), CircuitDoubleCover(circuits, parts)
 
     def pairs(i: int) -> list[tuple[int, int, int, int]]:
         """The part pairs edge ``i`` may join, with the change each
@@ -780,10 +760,13 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
     enter = True
     while not deadline.hit:
         if enter:
-            if deadline.tick():
+            deadline.nodes += 1
+            if not deadline.nodes % 512 and deadline.late():
                 break
             if len(frames) == n_edges:
-                record()
+                item = leaf()
+                if item:
+                    yield item
             else:
                 u, v = edges[len(frames)]
                 rem_e[u] -= 1
@@ -822,7 +805,6 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
         part_members[pa].append(i)
         part_members[pb].append(i)
         enter = True
-    return found
 
 
 def enumerate_covers(
@@ -849,9 +831,12 @@ def enumerate_covers(
     ``limit`` stops the search once that many distinct covers (of any
     orientability) have been found; the result then has
     ``limit_reached`` set and is not ``complete``.  The result's
-    ``search`` names the enumerator that ran.  Covers come in the order
-    of their canonical forms, kept as each is recorded, so a search cut
-    by the budget has no sort left to do.
+    ``search`` names the enumerator that ran.
+
+    Both searches yield (canonical form, cover) pairs, and this is the
+    one place that keeps covers: the first cover of each canonical form,
+    in the order of those forms, kept sorted as covers come, so a
+    search cut by the budget has no sort left to do.
     """
     if len(g.edges) > max_edges:
         raise EdgeLimitExceeded(
@@ -859,19 +844,30 @@ def enumerate_covers(
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     start = time.monotonic()
-    deadline = _Deadline(time_budget, limit)
+    deadline = _Deadline(time_budget)
     if orientable_only:
         search, enumerate_ = "transition", _enumerate_transitions
     else:
         search, enumerate_ = "slot", _enumerate_all
-    enumerate_(g, deadline)
+    keys: list[tuple] = []
+    covers: list[CircuitDoubleCover] = []
+    limit_reached = False
+    for key, cover in enumerate_(g, deadline):
+        i = bisect(keys, key)
+        if i and keys[i - 1] == key:
+            continue
+        keys.insert(i, key)
+        covers.insert(i, cover)
+        if len(keys) == limit:
+            limit_reached = True
+            break
     return EnumerationResult(
-        covers=tuple(deadline.covers),
-        complete=not deadline.hit,
+        covers=tuple(covers),
+        complete=not (deadline.hit or limit_reached),
         orientable_only=orientable_only,
         elapsed=time.monotonic() - start,
         nodes=deadline.nodes,
-        limit_reached=deadline.limit_reached,
+        limit_reached=limit_reached,
         search=search,
     )
 

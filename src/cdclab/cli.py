@@ -23,9 +23,8 @@ from .apollonian import (
 from .cdc import (
     DEFAULT_MAX_EDGES,
     OrientedCover,
-    check_orientability,
+    _orientation,
     enumerate_covers,
-    genus,
     translate_cover,
     validate_cover,
     validate_oriented_cover,
@@ -39,7 +38,6 @@ from .errors import (
     EdgeLimitExceeded,
     MapError,
     NotApollonian,
-    OddCharacteristic,
     TimeBudgetExceeded,
     UnknownEdge,
 )
@@ -165,15 +163,20 @@ def _cmd_apollonian_check(ns: argparse.Namespace) -> int:
     return EXIT_PASS if verdict else EXIT_FAIL
 
 
+def _surface(cover, g) -> dict[str, Any]:
+    """chi = V - E + k of a valid cover, and its genus (None when chi
+    is odd: the surface is pinched)."""
+    chi = g.n - len(g.edges) + cover.k
+    return {"chi": chi, "genus": (2 - chi) // 2 if chi % 2 == 0 else None}
+
+
 def _cover_entry(cover, m: PlanarMap, g) -> dict[str, Any]:
     entry = cover_to_json(cover, "", m)
     del entry["format"]
     del entry["host"]
     entry["circuits_count"] = cover.k
     entry["orientable"] = cover.orientation is not None
-    chi = g.n - len(g.edges) + cover.k
-    entry["chi"] = chi
-    entry["genus"] = (2 - chi) // 2 if chi % 2 == 0 else None
+    entry.update(_surface(cover, g))
     return entry
 
 
@@ -218,15 +221,9 @@ def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
         "problems": list(report.problems),
     }
     if report.valid:
-        witness = check_orientability(g, cover)
-        body["orientable"] = witness is not None
-        try:
-            gr = genus(g, cover)
-            body["chi"] = gr.chi
-            body["genus"] = gr.genus
-        except OddCharacteristic:
-            body["chi"] = g.n - len(g.edges) + cover.k
-            body["genus"] = None
+        # the cover is valid, so its circuits go straight to the search
+        body["orientable"] = _orientation(cover.circuits) is not None
+        body.update(_surface(cover, g))
     passed = report.valid
     if cover.orientation is not None:
         problems = validate_oriented_cover(
@@ -409,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="subcommand", required=True)
     pe = csub.add_parser("enumerate", help="exhaustive cover search")
     pe.add_argument("graph")
-    pe.add_argument("--orientable-only", action="store_true", default=True,
-                    help="orientable covers only (default)")
     pe.add_argument("--all", action="store_true",
                     help="all covers, orientability decided per cover")
     pe.add_argument("--max-edges", type=_at_least(0),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdclab import cdc
 from cdclab.apollonian import (
     apollonian_dual,
     generate_apollonian,
@@ -671,24 +672,44 @@ def test_oracle_builds_each_cover_once(monkeypatch):
         init(self, *args, **kwargs)
         built[self.canonical_form()] += 1
 
-    class Counting(_Deadline):
-        def __init__(self):
-            super().__init__(None, None)
-            self.recorded = Counter()
-
-        def record(self, found, cover):
-            self.recorded[cover.canonical_form()] += 1
-            super().record(found, cover)
-
     # every cover constructed, by `build` or directly, is counted
     monkeypatch.setattr(CircuitDoubleCover, "__init__", counting_init)
     for name in ["k4", "prism", "cube", "wheel:4", "wheel:5", "wheel:6"]:
         built.clear()
-        deadline = Counting()
-        found = _enumerate_all(underlying_graph(select(name)), deadline)
+        deadline = _Deadline(None)
+        yielded = Counter()
+        for key, cover in _enumerate_all(underlying_graph(select(name)),
+                                         deadline):
+            assert key == cover.canonical_form(), name
+            yielded[key] += 1
         assert not deadline.hit, name
-        assert deadline.recorded == {form: 1 for form in found}, name
-        assert built == deadline.recorded, name
+        assert set(yielded.values()) == {1}, name
+        assert built == yielded, name
+
+
+def test_enumerate_covers_keeps_each_form_once_in_order(monkeypatch):
+    # neither search repeats a cover, so a stand-in search drives the
+    # store: keys out of order, one of them twice
+    covers = [CircuitDoubleCover((frozenset([(0, i)]),)) for i in range(4)]
+    keys = [((0, 2),), ((0, 1),), ((0, 2),), ((0, 3),)]
+
+    def search(g, deadline):
+        for key, cover in zip(keys, covers):
+            deadline.nodes += 1
+            yield key, cover
+
+    monkeypatch.setattr(cdc, "_enumerate_transitions", search)
+    g = underlying_graph(k4())
+    full = enumerate_covers(g)
+    # the first cover of each key, in key order
+    assert [id(c) for c in full.covers] == \
+        [id(covers[1]), id(covers[0]), id(covers[3])]
+    assert full.complete and not full.limit_reached
+    assert full.nodes == 4
+    cut = enumerate_covers(g, limit=2)
+    assert [id(c) for c in cut.covers] == [id(covers[1]), id(covers[0])]
+    assert cut.limit_reached and not cut.complete
+    assert cut.nodes == 2
 
 
 def test_oracle_node_counts():

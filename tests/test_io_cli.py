@@ -461,6 +461,7 @@ def test_malformed_cover_rows_are_usage_errors(tmp_path, capsys, body):
     ["census", "--corpus", "k4", "--workers", "-2"],
     ["cdc", "enumerate", "k4", "--max-edges", "-5"],
     ["census", "--corpus", "k4", "--max-edges", "-1"],
+    ["cdc", "enumerate", "k4", "--orientable-only"],
 ])
 def test_bad_flag_values_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

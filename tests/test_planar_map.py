@@ -174,7 +174,17 @@ def test_is_3_connected_matches_pair_deletion_oracle():
         for i in range(6))))
     cases.append(SimpleGraph(4, frozenset(
         [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])))
-    for g in cases:
+    # negatives of minimum degree 3: two K4s glued at vertex 3, so
+    # g - 3 falls apart, and two K4s sharing the edge (2, 3)
+    first = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    glued = [SimpleGraph(7, frozenset(first + [(u + 3, v + 3)
+                                               for u, v in first])),
+             SimpleGraph(6, frozenset(first + [(u + 2, v + 2)
+                                               for u, v in first]))]
+    for g in glued:
+        assert min(g.degree(v) for v in range(g.n)) == 3
+        assert not _pair_deletion_3_connected(g)
+    for g in cases + glued:
         assert is_3_connected(g) == _pair_deletion_3_connected(g)
 
 
