@@ -12,6 +12,12 @@ cover's orientability as it finds it; it is the transition search's
 cross-check.  Both searches are generators of (canonical form, cover)
 pairs that share only a clock (`_Deadline`); `enumerate_covers` alone
 deduplicates, orders and limits the covers they yield.
+
+Exhaustive cover lists hold few distinct circuits (wheel:7's 1,751
+orientable covers hold 9,045 circuits, 127 of them distinct), so each
+circuit is worked out once: the transition search builds one object
+per distinct circuit and arc set, and the cover checks read a
+circuit's report, shape and orientation parts from bounded memos.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import time
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -39,10 +46,22 @@ Edge = tuple[int, int]
 Arc = tuple[int, int]
 
 DEFAULT_MAX_EDGES = 16
+# entries kept by each per-circuit memo, least recently used dropped first
+_MEMO_SIZE = 1024
 
 
 def _normalize_circuit(edges: Iterable[Sequence[int]]) -> frozenset[Edge]:
-    return frozenset(normalize_edge(u, v) for u, v in edges)
+    """Raises :class:`InvalidCover` on an edge that is not a pair of
+    vertices."""
+    circuit = set()
+    for e in edges:
+        try:
+            u, v = e
+            circuit.add(normalize_edge(u, v))
+        except (TypeError, ValueError):
+            problem = f"edge {e!r} is not a pair of vertices"
+            raise InvalidCover(problem) from None
+    return frozenset(circuit)
 
 
 @dataclass(frozen=True)
@@ -90,7 +109,7 @@ class CircuitDoubleCover:
         """Canonicalize circuit order (keeping any orientation aligned).
 
         Raises :class:`InvalidCover` when ``orientation`` does not have
-        one part per circuit.
+        one part per circuit or an edge is not a pair of vertices.
         """
         sets = [_normalize_circuit(c) for c in circuits]
         if orientation is None:
@@ -124,8 +143,9 @@ def _check_known_edges(g: SimpleGraph, edges: Iterable[Edge]) -> list[str]:
             for e in sorted(set(edges)) if e not in g.edges]
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _circuit_report(circuit: frozenset[Edge]) -> CircuitReport:
-    """Evenness and connectivity of a normalized edge set."""
+    """Evenness and connectivity of a normalized edge set (memoised)."""
     if not circuit:
         return CircuitReport(False, False, ("empty edge set",))
     adj = _adjacency(circuit)
@@ -146,7 +166,8 @@ def validate_circuit(g: SimpleGraph, edges: Iterable[Sequence[int]]
     """Check that an edge set is an even connected subgraph.
 
     ``is_cycle`` additionally requires every touched vertex to have
-    degree exactly two.  Unknown edges raise :class:`UnknownEdge`.
+    degree exactly two.  Unknown edges raise :class:`UnknownEdge`, and
+    an edge that is not a pair raises :class:`InvalidCover`.
     """
     circuit = _normalize_circuit(edges)
     if not circuit <= g.edges:
@@ -160,26 +181,32 @@ def validate_cover(g: SimpleGraph,
     """Check the double-cover law: every edge in exactly two circuits.
 
     A circuit given as a frozenset of host edges is taken as it is;
-    any other is normalized first.  The unknown-edge and per-edge
-    diagnostics are built only when something is wrong.  Never raises;
-    failures come back as diagnostics.
+    any other is normalized first.  Each circuit's report comes from a
+    memo that keeps the 1,024 most recently used circuits, so a circuit
+    shared by many covers is walked once while a long-lived process
+    holds a bounded number.  The unknown-edge and per-edge diagnostics
+    are built only when something is wrong.  Never raises; failures
+    come back as diagnostics, an edge that is not a pair among them
+    (its circuit then counts no edges).
     """
     edges = g.edges
     sets: list[frozenset[Edge]] = []
     problems: list[str] = []
     reports: list[CircuitReport] = []
     for i, c in enumerate(circuits):
-        if not (isinstance(c, frozenset) and c <= edges):
-            c = _normalize_circuit(c)
-        sets.append(c)
-        if c <= edges:
-            rep = _circuit_report(c)
-            if not rep.valid:
-                problems.append(f"circuit {i}: " + "; ".join(rep.problems))
-        else:
+        try:
+            if not (isinstance(c, frozenset) and c <= edges):
+                c = _normalize_circuit(c)
+            rep = _circuit_report(c) if c <= edges else None
+        except InvalidCover as exc:
+            c, rep = frozenset(), CircuitReport(False, False, (str(exc),))
+        if rep is None:
             rep = CircuitReport(False, False,
                                 tuple(_check_known_edges(g, c)))
             problems.append(f"circuit {i}: unknown edges")
+        elif not rep.valid:
+            problems.append(f"circuit {i}: " + "; ".join(rep.problems))
+        sets.append(c)
         reports.append(rep)
 
     multiplicity = Counter(chain.from_iterable(sets))
@@ -244,13 +271,39 @@ def check_orientability(g: SimpleGraph,
     return None if parts is None else OrientedCover(parts)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _shape(circuit: frozenset[Edge]) -> tuple[tuple[Edge, ...], tuple]:
+    """A circuit's sorted edges and, per vertex in order of first
+    appearance, the (position, side) of its edges there: side 1 at an
+    edge's smaller end, 0 at its larger (memoised)."""
+    edges = sorted(circuit)
+    at: dict[int, list[tuple[int, int]]] = {}
+    for p, (u, v) in enumerate(edges):
+        at.setdefault(u, []).append((p, 1))
+        at.setdefault(v, []).append((p, 0))
+    return tuple(edges), tuple(map(tuple, at.values()))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _part(circuit: frozenset[Edge], flips: int) -> frozenset[Arc]:
+    """The arcs orienting ``circuit``: the edge at position p of its
+    sorted edges runs from its larger end iff bit p of ``flips`` is set
+    (memoised)."""
+    return frozenset([(v, u) if flips >> p & 1 else (u, v)
+                      for p, (u, v) in enumerate(_shape(circuit)[0])])
+
+
 def _orientation(circuits: Sequence[frozenset[Edge]],
                  deadline: _Deadline | None = None
                  ) -> tuple[frozenset[Arc], ...] | None:
     """The witness parts of :func:`check_orientability`, or None.
 
     Edge ids follow first appearance, and x_e = 1 when e's first
-    circuit runs it from its larger end.  The parity union-find is
+    circuit runs it from its larger end.  Each circuit's sorted edges
+    and per-vertex literal groups come from the memo :func:`_shape`,
+    and each witness part from the memo :func:`_part`, keyed by the
+    circuit and the bitmask of its edges run backwards, so covers
+    sharing a circuit share its parts.  The parity union-find is
     inline: a find halves its path, and each class is rooted at its
     least edge, so no parent is larger than its child and one pass in
     id order flattens every class.  Trying 0 before 1 in root order
@@ -263,40 +316,34 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
     edge_id: dict[Edge, int] = {}
     parent: list[int] = []
     parity: list[int] = []      # x_e xor x_parent
-    rows = []                   # per circuit: (edge, id, runs it back)
+    rows = []                   # per circuit: it, and per edge (id, runs
+                                # it back)
     wide: list[list[tuple[int, int]]] = []
     for circuit in circuits:
-        # per vertex: (edge, c) with "the edge leaves here" = x_e ^ c
-        at: dict[int, list[tuple[int, int]]] = {}
+        sorted_edges, groups = _shape(circuit)
         row = []
-        for e in sorted(circuit):
+        for e in sorted_edges:
             eid = edge_id.get(e)
-            back = eid is not None
-            if not back:
+            if eid is None:
                 eid = edge_id[e] = len(parent)
                 parent.append(eid)
                 parity.append(0)
-            row.append((e, eid, back))
-            u, v = e
-            lits = at.get(u)
-            if lits is None:
-                at[u] = [(eid, 1 ^ back)]
+                row.append((eid, 0))
             else:
-                lits.append((eid, 1 ^ back))
-            lits = at.get(v)
-            if lits is None:
-                at[v] = [(eid, 0 ^ back)]
-            else:
-                lits.append((eid, 0 ^ back))
-        rows.append(row)
-        for lits in at.values():
-            if len(lits) > 2:
-                wide.append(lits)
+                row.append((eid, 1))
+        rows.append((circuit, row))
+        # per vertex: literals (edge, c) with "the edge leaves here" =
+        # x_e ^ c, where c is the side, flipped if the edge is run back
+        for group in groups:
+            if len(group) > 2:
+                wide.append([(row[p][0], side ^ row[p][1])
+                             for p, side in group])
                 continue
             d = 1                       # x_a ^ x_b ^ ca ^ cb = 1
             roots = []
-            for x, c in lits:
-                d ^= c
+            for p, side in group:
+                x, back = row[p]
+                d ^= side ^ back
                 while parent[x] != x:
                     y = parent[x]
                     if parent[y] != y:  # halve: skip to the grandparent
@@ -358,8 +405,9 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
 
     value = {r: t - 1 for r, t in zip(order, tried)}
     x = [value.get(r, 0) ^ p for r, p in zip(parent, parity)]
-    return tuple(frozenset((e[1], e[0]) if x[eid] ^ back else e
-                           for e, eid, back in row) for row in rows)
+    return tuple(_part(circuit, sum((x[eid] ^ back) << p
+                                    for p, (eid, back) in enumerate(row)))
+                 for circuit, row in rows)
 
 
 def validate_oriented_cover(g: SimpleGraph, cover: CircuitDoubleCover,
@@ -492,6 +540,11 @@ def _connected(adj: dict[int, list[int]]) -> bool:
     return len(seen) == len(adj)
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
 def _search_order(g: SimpleGraph) -> list[Edge]:
     """The slot oracle's edge order: close vertices as early as possible.
 
@@ -543,8 +596,12 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
     no larger than its inverse.  One node is counted per completed
     vertex.  A circuit through a vertex twice has several tours, so
     covers repeat among the leaves; each is built and yielded once, as
-    (canonical form, cover), straight from its walks' darts: their
-    edges and arcs are the host's own tuples, already normal, and the
+    (canonical form, cover).  A chain also keeps its dart mask, so a
+    closed walk is two masks, and the leaf reads its circuit (edge
+    list and edge set) from a per-search dict keyed by the edge mask
+    and its arcs from one keyed by the dart mask, building each only
+    the first time: covers share one object per distinct circuit and
+    arc set, whose edges and arcs are the host's own tuples.  The
     circuits are sorted by edge list alone, stably, so a circuit walked
     twice keeps its parts aligned, and those edge lists in order are
     the canonical form.  Runs iteratively, one stack level per passage,
@@ -555,7 +612,7 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
     # d ^ 1 reverses d, and the out-darts of a vertex ascend with the
     # neighbour they reach
     tail = [v for e in edges for v in e]
-    # per dart: its arc, shared by every cover built
+    # per dart: its arc
     arc = [a for e in edges for a in (e, e[::-1])]
     outs: list[list[int]] = [[] for _ in range(g.n)]
     for d, t in enumerate(tail):
@@ -599,11 +656,12 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
         return [o for o in reversed(outs_p) if pred[o] < 0 and o != back]
 
     # every open chain of linked darts keeps, at both of its end darts,
-    # the dart at its other end and the edge mask of its darts
+    # the dart at its other end and the edge and dart masks of its darts
     other = list(range(len(tail)))
     emask = [1 << (d >> 1) for d in range(len(tail))]
+    dmask = [1 << d for d in range(len(tail))]
     # per passage: the chain ends and masks its link joined, for undoing
-    joined: list[tuple[int, int, int, int] | None] = [None] * n_pass
+    joined: list[tuple[int, ...] | None] = [None] * n_pass
 
     def mirrored() -> bool:
         """Is the first vertex's bijection larger than its inverse?"""
@@ -611,35 +669,39 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
             [pred[o] ^ 1 for o in p_outs[0]]
 
     built: set[tuple[int, ...]] = set()  # walk edge masks, sorted
-    closes = [0] * n_pass               # per passage: mask of the walk
-                                        # its link closed, else 0
+    closes = [0] * n_pass               # per passage: edge mask of the
+    closes_d = [0] * n_pass             # walk its link closed, else 0,
+                                        # and that walk's dart mask
+    # one object per distinct circuit and per distinct arc set
+    circuit_of: dict[int, tuple[tuple[Edge, ...], frozenset[Edge]]] = {}
+    arcs_of: dict[int, frozenset[Arc]] = {}
 
     def leaf() -> tuple[tuple, CircuitDoubleCover] | None:
         """The cover the walks make, keyed; None if already built."""
-        masks = tuple(sorted(m for m in closes if m))
+        walked = [(m, dm) for m, dm in zip(closes, closes_d) if m]
+        masks = tuple(sorted([m for m, _ in walked]))
         if masks in built:
             return None
         built.add(masks)
         walks = []
-        for d, mask in zip(p_in, closes):
-            if mask:
-                walk = [d]
-                x = succ[d]
-                while x != d:
-                    walk.append(x)
-                    x = succ[x]
-                # a walk never repeats an edge, and edge ids ascend
-                # with the edges, so this is the circuit's key
-                key = tuple([edges[x >> 1] for x in sorted(walk)])
-                walks.append((key, frozenset(key),
-                              frozenset(map(arc.__getitem__, walk))))
+        for mask, darts in walked:
+            circuit = circuit_of.get(mask)
+            if circuit is None:
+                # edge ids ascend with the edges: the circuit's key
+                key = tuple([edges[i] for i in _bits(mask)])
+                circuit = circuit_of[mask] = key, frozenset(key)
+            arcs = arcs_of.get(darts)
+            if arcs is None:
+                arcs = arcs_of[darts] = frozenset(
+                    [arc[d] for d in _bits(darts)])
+            walks.append((*circuit, arcs))
         # stable, so a circuit walked twice keeps its parts aligned
         walks.sort(key=lambda w: w[0])
-        return (tuple(k for k, _, _ in walks), CircuitDoubleCover(
-            tuple(c for _, c, _ in walks), tuple(p for _, _, p in walks)))
+        keys, circuits, parts = zip(*walks)
+        return keys, CircuitDoubleCover(circuits, parts)
 
-    if not n_pass:
-        yield leaf()                    # no edges: the empty cover
+    if not n_pass:                      # no edges: the empty cover
+        yield (), CircuitDoubleCover((), ())
         return
     opts: list[list[int]] = [[] for _ in range(n_pass)]  # untried options
     opts[0] = options(0)
@@ -650,7 +712,7 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
         if o >= 0:                      # undo the link taken here
             pred[o] = -1
             if joined[depth]:
-                a, b, emask[a], emask[b] = joined[depth]
+                a, b, emask[a], emask[b], dmask[a], dmask[b] = joined[depth]
                 other[a], other[b] = d, o
                 joined[depth] = None
         if not opts[depth]:
@@ -665,16 +727,18 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
         # the link d -> o joins the chain a .. d to the chain o .. b
         a = other[d]
         if a == o:                      # one chain: it closes a walk
-            closes[depth] = emask[d]
+            closes[depth], closes_d[depth] = emask[d], dmask[d]
         else:
             mask_a, mask_b = emask[d], emask[o]
             if mask_a & mask_b:         # both darts of some edge
                 continue
             b = other[o]
+            darts_a, darts_b = dmask[d], dmask[o]
             closes[depth] = 0
-            joined[depth] = a, b, mask_a, mask_b
+            joined[depth] = a, b, mask_a, mask_b, darts_a, darts_b
             other[a], other[b] = b, a
             emask[a] = emask[b] = mask_a | mask_b
+            dmask[a] = dmask[b] = darts_a | darts_b
         if not p_left[depth]:
             if depth == first_last and mirrored():
                 continue

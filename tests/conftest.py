@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import pytest
+
+from cdclab import cdc
 from cdclab.corpus import cube, k4, octahedron, prism, wheel
 from cdclab.planar_map import PlanarMap
 from cdclab.surgery import augment_face
 
 NAMED_CORPUS = ["k4", "prism", "cube", "octahedron", "wheel:4", "wheel:5"]
+
+
+def clear_memos() -> None:
+    """Empty the per-circuit memos of the cover checks."""
+    for memo in (cdc._circuit_report, cdc._shape, cdc._part):
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts from cold memos, so none passes only because
+    an earlier one warmed them."""
+    clear_memos()
 
 
 def corpus_maps() -> list[tuple[str, PlanarMap]]:

@@ -1,6 +1,7 @@
 """Cover validation, enumeration, orientability, genus, translation."""
 
 import hashlib
+import re
 import time
 from collections import Counter, deque
 from random import Random
@@ -56,7 +57,7 @@ from cdclab.surgery import (
     truncate_vertex,
 )
 
-from conftest import corpus_maps
+from conftest import clear_memos, corpus_maps
 
 K4_HAMILTONIANS = [
     [(0, 1), (1, 2), (2, 3), (0, 3)],
@@ -375,6 +376,18 @@ def test_wheel7_checks_match_golden_digest():
         witness = check_orientability(g, cover)
         sha.update(f"{report} {_rows(witness.parts)}\n".encode())
     assert sha.hexdigest() == WHEEL7_CHECK_GOLDEN
+
+
+@pytest.mark.parametrize("name,distinct", [("wheel:7", 127),
+                                           ("octahedron", 123)])
+def test_transition_search_builds_each_circuit_once(name, distinct):
+    # one search shares one object per distinct circuit and per
+    # distinct arc set among all the covers it yields
+    covers = require_complete(enumerate_covers(_host(name))).covers
+    circuits = [c for cover in covers for c in cover.circuits]
+    arcs = [p for cover in covers for p in cover.orientation]
+    assert len(set(circuits)) == len({id(c) for c in circuits}) == distinct
+    assert len(set(arcs)) == len({id(p) for p in arcs}) < len(arcs)
 
 
 def test_rotation_search_node_counts():
@@ -894,6 +907,33 @@ def _validation_inputs():
 
 
 def test_validate_cover_matches_reference():
-    for g, circuits in _validation_inputs():
-        assert validate_cover(g, circuits) == \
-            _reference_validate_cover(g, circuits), circuits
+    inputs = _validation_inputs()
+    clear_memos()
+    for _ in range(2):          # from cold memos, then warm
+        for g, circuits in inputs:
+            assert validate_cover(g, circuits) == \
+                _reference_validate_cover(g, circuits), circuits
+
+
+def test_an_edge_that_is_not_a_pair_is_a_diagnostic():
+    g = underlying_graph(k4())
+    triangles = [sorted(c) for c in facial_cover(k4()).circuits]
+    problem = "edge (0, 1, 2) is not a pair of vertices"
+    for circuits, i in (([[(0, 1, 2)]], 0),
+                        (triangles[:3] + [[(0, 1), (0, 1, 2)]], 3)):
+        report = validate_cover(g, circuits)
+        assert not report.valid and not report.is_cycle_cover
+        assert report.circuits[i] == CircuitReport(False, False, (problem,))
+        assert f"circuit {i}: {problem}" in report.problems
+        with pytest.raises(InvalidCover, match="not a pair"):
+            check_orientability(g, circuits)
+        with pytest.raises(ValueError):     # the reference does not check
+            _reference_validate_cover(g, circuits)
+    # a cover built around the check is caught by the validation
+    cover = CircuitDoubleCover((frozenset([(0, 1, 2)]),))
+    assert validate_cover(g, cover.circuits).circuits == \
+        (CircuitReport(False, False, (problem,)),)
+    with pytest.raises(InvalidCover, match=re.escape(f"circuit 0: {problem}")):
+        check_orientability(g, cover)
+    with pytest.raises(InvalidCover, match="edge 7 is not a pair"):
+        validate_circuit(g, [(0, 1), 7])
