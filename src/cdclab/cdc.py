@@ -51,8 +51,12 @@ _MEMO_SIZE = 1024
 
 
 def _normalize_circuit(edges: Iterable[Sequence[int]]) -> frozenset[Edge]:
-    """Raises :class:`InvalidCover` on an edge that is not a pair of
-    vertices."""
+    """Raises :class:`InvalidCover` on a circuit that is not iterable or
+    an edge that is not a pair of vertices."""
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise InvalidCover(f"{edges!r} is not a collection of edges") from None
     circuit = set()
     for e in edges:
         try:
@@ -109,7 +113,8 @@ class CircuitDoubleCover:
         """Canonicalize circuit order (keeping any orientation aligned).
 
         Raises :class:`InvalidCover` when ``orientation`` does not have
-        one part per circuit or an edge is not a pair of vertices.
+        one part per circuit, a circuit is not iterable or an edge is
+        not a pair of vertices.
         """
         sets = [_normalize_circuit(c) for c in circuits]
         if orientation is None:
@@ -186,8 +191,9 @@ def validate_cover(g: SimpleGraph,
     shared by many covers is walked once while a long-lived process
     holds a bounded number.  The unknown-edge and per-edge diagnostics
     are built only when something is wrong.  Never raises; failures
-    come back as diagnostics, an edge that is not a pair among them
-    (its circuit then counts no edges).
+    come back as diagnostics, a circuit that is not iterable or an
+    edge that is not a pair among them (its circuit then counts no
+    edges).
     """
     edges = g.edges
     sets: list[frozenset[Edge]] = []

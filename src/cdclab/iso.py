@@ -21,7 +21,7 @@ from .planar_map import (
     is_3_connected,
     normalize_edge,
 )
-from .surgery import _complete_augmentation, _complete_truncation
+from .surgery import _augment, _complete_truncation
 
 _MAP_CODE_VERSION = b"M1"
 _GRAPH_CODE_VERSION = b"G2"
@@ -203,7 +203,7 @@ def verify_square(m: PlanarMap) -> SquareReport:
     if not is_3_connected(m):
         raise NotThreeConnected("the square is stated for 3-connected hosts")
     dual = dualize(m)
-    side_a, _ = _complete_augmentation(dual)
+    side_a, _ = _augment(dual, dual.faces)
     t_map, t_corr = _complete_truncation(m)
     side_b = dualize(t_map)
 

@@ -2,14 +2,17 @@
 
 Both surgeries edit rotation lists and rebuild through
 :func:`~cdclab.planar_map.from_rotation`, so every output is
-re-validated (simple, connected, genus 0) by construction.
+re-validated (simple, connected, genus 0) by construction.  One
+private ``_augment`` plants the apexes of a single face, of every
+face, and of the duality square's augmented side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .errors import NotThreeConnected, VertexNotInMap
+from .errors import NotThreeConnected
 from .planar_map import (
     Face,
     PlanarMap,
@@ -50,10 +53,6 @@ def _require_3_connected(m: PlanarMap) -> None:
         raise NotThreeConnected("surgery requires a 3-connected host")
 
 
-def _next_label(m: PlanarMap) -> int:
-    return max(m.labels) + 1
-
-
 def augment_face(m: PlanarMap, f: Face | int) -> tuple[PlanarMap, Correspondence]:
     """Insert an apex vertex inside face ``f``, joined to its boundary.
 
@@ -62,26 +61,7 @@ def augment_face(m: PlanarMap, f: Face | int) -> tuple[PlanarMap, Correspondence
     global orientation convention is preserved.
     """
     _require_3_connected(m)
-    face = require_face(m, f)
-    walk = face.boundary
-    apex = m.vertex_count
-
-    adjacency: dict[int, list[int]] = {
-        v: row for v, row in enumerate(m.rotation_lists())}
-    for i, v in enumerate(walk):
-        prev = walk[i - 1]
-        at = adjacency[v].index(prev)
-        adjacency[v].insert(at + 1, apex)
-    adjacency[apex] = list(reversed(walk))
-
-    out = from_rotation(adjacency).with_labels(m.labels + (_next_label(m),))
-    corr = Correspondence(
-        kind="augment",
-        inherited_edges={e: e for e in m.edges()},
-        face_faces={face.index: apex},
-        vertex_map={v: v for v in range(m.vertex_count)},
-    )
-    return out, corr
+    return _augment(m, [require_face(m, f)])
 
 
 def complete_augmentation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
@@ -91,44 +71,38 @@ def complete_augmentation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
     triangle.  Apex for face ``i`` gets vertex id ``V + i``.
     """
     _require_3_connected(m)
-    return _complete_augmentation(m)
+    return _augment(m, m.faces)
 
 
-def _complete_augmentation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
-    """:func:`complete_augmentation` on a host known to be 3-connected."""
+def _augment(m: PlanarMap,
+             faces: Sequence[Face]) -> tuple[PlanarMap, Correspondence]:
+    """Plant an apex in each of ``faces`` of a host known 3-connected.
+
+    The apex of ``faces[i]`` gets id ``V + i`` and label
+    ``max(labels) + 1 + i``.  Each boundary vertex ``walk[j]`` takes it
+    right after ``walk[j - 1]`` in its rotation (a face of a 3-connected
+    map passes a vertex once, so apexes never share a gap), and the
+    apex's rotation is the reversed walk.  Input ids are kept.
+    """
     n = m.vertex_count
-    rotations = m.rotation_lists()
+    rotation = m.rotation_lists()
+    for i, face in enumerate(faces):
+        walk = face.boundary
+        for j, v in enumerate(walk):
+            row = rotation[v]
+            row.insert(row.index(walk[j - 1]) + 1, n + i)
+        rotation.append(list(reversed(walk)))
 
-    adjacency: dict[int, list[int]] = {}
-    for v, row in enumerate(rotations):
-        new_row: list[int] = []
-        for j, u in enumerate(row):
-            new_row.append(u)
-            nxt = row[(j + 1) % len(row)]
-            gap_face = m.face_of_dart(_dart_to(m, v, nxt))
-            new_row.append(n + gap_face)
-        adjacency[v] = new_row
-    for face in m.faces:
-        adjacency[n + face.index] = list(reversed(face.boundary))
-
-    base = _next_label(m)
-    labels = m.labels + tuple(base + i for i in range(m.face_count))
-    out = from_rotation(adjacency).with_labels(labels)
+    base = max(m.labels) + 1
+    labels = m.labels + tuple(range(base, base + len(faces)))
+    out = from_rotation(dict(enumerate(rotation))).with_labels(labels)
     corr = Correspondence(
         kind="augment",
         inherited_edges={e: e for e in m.edges()},
-        face_faces={face.index: n + face.index for face in m.faces},
+        face_faces={face.index: n + i for i, face in enumerate(faces)},
         vertex_map={v: v for v in range(n)},
     )
     return out, corr
-
-
-def _dart_to(m: PlanarMap, v: int, w: int) -> int:
-    """The dart with tail v on edge {v, w}."""
-    for d in m.darts_of_vertex(v):
-        if m.vertex_of[alpha(d)] == w:
-            return d
-    raise VertexNotInMap(f"no edge from {v} to {w}")
 
 
 def truncate_vertex(m: PlanarMap, v: int) -> tuple[PlanarMap, Correspondence]:
@@ -162,7 +136,7 @@ def truncate_vertex(m: PlanarMap, v: int) -> tuple[PlanarMap, Correspondence]:
     for j, u in enumerate(ring):
         adjacency[w_id(j)] = [keep(u), w_id(j + 1), w_id(j - 1)]
 
-    base = _next_label(m)
+    base = max(m.labels) + 1
     labels = tuple(m.labels[u] for u in range(n) if u != v)
     labels += tuple(base + j for j in range(k))
     out = from_rotation(adjacency).with_labels(labels)

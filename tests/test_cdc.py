@@ -937,3 +937,14 @@ def test_an_edge_that_is_not_a_pair_is_a_diagnostic():
         check_orientability(g, cover)
     with pytest.raises(InvalidCover, match="edge 7 is not a pair"):
         validate_circuit(g, [(0, 1), 7])
+    # so is a circuit that is not a collection of edges at all
+    for junk in (5, None):
+        problem = f"{junk!r} is not a collection of edges"
+        report = validate_cover(g, triangles[:3] + [junk])
+        assert not report.valid
+        assert report.circuits[3] == CircuitReport(False, False, (problem,))
+        assert f"circuit 3: {problem}" in report.problems
+        for call in (lambda: check_orientability(g, [junk]),
+                     lambda: CircuitDoubleCover.build([junk])):
+            with pytest.raises(InvalidCover, match=re.escape(problem)):
+                call()

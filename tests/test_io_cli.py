@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import cdclab.apollonian
+import cdclab.cli
 from cdclab.cdc import CircuitDoubleCover, check_orientability, facial_cover
 from cdclab.census import worker_count
 from cdclab.cli import main
@@ -190,6 +192,24 @@ def test_apollonian_check_rejects_cube(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "apollonian", "check", str(path))
     assert code == 1
     assert json.loads(out)["apollonian"] is False
+
+
+def test_apollonian_check_recognises_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    recognise = cdclab.apollonian.is_apollonian
+
+    def counting(g, rng=None):
+        calls.append(g)
+        return recognise(g, rng)
+
+    monkeypatch.setattr(cdclab.apollonian, "is_apollonian", counting)
+    monkeypatch.setattr(cdclab.cli, "is_apollonian", counting, raising=False)
+    for name, exit_code in (("apollonian:0,1,2", 0), ("cube", 1)):
+        path = tmp_path / "map.json"
+        path.write_text(dumps(map_to_json(select(name))))
+        calls.clear()
+        code, _, _ = run_cli(capsys, "apollonian", "check", str(path))
+        assert (code, len(calls)) == (exit_code, 1), name
 
 
 def test_enumerate_to_file_and_validate(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Augmentation, truncation, and their correspondence tables."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdclab.corpus import cube, k4, prism, wheel
+from cdclab.apollonian import generate_apollonian
+from cdclab.corpus import cube, k4, prism, select, wheel
 from cdclab.errors import NotThreeConnected
+from cdclab.io_formats import correspondence_to_json, dumps
 from cdclab.iso import maps_isomorphic
 from cdclab.planar_map import (
+    dualize,
     from_rotation,
     is_3_connected,
     normalize_edge,
@@ -202,3 +207,30 @@ def test_augmentation_of_apollonian_is_a_triangulation(draws):
     out, _ = complete_augmentation(m)
     assert all(len(f.darts) == 3 for f in out.faces)
     assert out.euler_genus() == 0
+
+
+# SHA-256 over complete_augmentation and augment_face on every face of
+# hosts with non-triangular faces: each output's sigma, vertex_of,
+# labels and correspondence JSON.  A change here means an augmentation
+# now numbers its apexes, darts or labels differently.
+AUGMENTATION_DIGEST = (
+    "91fd197fe8d37a3bb6733a3d58bde442c1e84b3a9e6639edf0034f9c0baea56f")
+
+
+def test_augmentations_match_golden_digest():
+    digest = hashlib.sha256()
+
+    def feed(m, out, corr):
+        digest.update(repr(out.sigma).encode())
+        digest.update(repr(out.vertex_of).encode())
+        digest.update(repr(out.labels).encode())
+        digest.update(dumps(correspondence_to_json(corr, m, out)).encode())
+
+    hosts = [select(name) for name in
+             ("cube", "prism", "wheel:9", "apollonian-dual:0,1,2")]
+    hosts += [dualize(generate_apollonian(20, seed=s)) for s in range(5)]
+    for m in hosts:
+        feed(m, *complete_augmentation(m))
+        for face in m.faces:
+            feed(m, *augment_face(m, face.index))
+    assert digest.hexdigest() == AUGMENTATION_DIGEST
