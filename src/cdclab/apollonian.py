@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from .planar_map import (
 )
 
 
+@cache
 def _base() -> PlanarMap:
     from .corpus import k4
     return k4()
@@ -111,6 +113,36 @@ def _reduce_step(adj: dict[int, set[int]], order: Sequence[int]) -> int | None:
     return None
 
 
+def _unstack(g: SimpleGraph | PlanarMap, rng: Random | None = None
+             ) -> list[tuple[int, int, int]] | None:
+    """Unstack ``g`` down to K4: the sorted neighbourhood of each removed
+    vertex, or None when ``g`` does not reduce to K4.
+
+    Each neighbourhood is the triangle its vertex was stacked into, so
+    for an Apollonian network they are exactly its separating triangles.
+    """
+    if isinstance(g, PlanarMap):
+        g = underlying_graph(g)
+    if not g.is_connected():
+        return None
+    adj = {v: set(nbrs) for v, nbrs in g.adjacency.items()}
+    removed: list[tuple[int, int, int]] = []
+    while len(adj) > 4:
+        order = sorted(adj)
+        if rng is not None:
+            rng.shuffle(order)
+        v = _reduce_step(adj, order)
+        if v is None:
+            return None
+        removed.append(tuple(sorted(adj[v])))
+        for u in adj[v]:
+            adj[u].discard(v)
+        del adj[v]
+    if len(adj) == 4 and all(len(nbrs) == 3 for nbrs in adj.values()):
+        return removed
+    return None
+
+
 def is_apollonian(g: SimpleGraph | PlanarMap,
                   rng: Random | None = None) -> bool:
     """Whether ``g`` reduces to K4 by unstacking degree-3 vertices.
@@ -118,23 +150,7 @@ def is_apollonian(g: SimpleGraph | PlanarMap,
     ``rng`` only shuffles the removal order (used by confluence tests);
     the verdict must not depend on it.
     """
-    if isinstance(g, PlanarMap):
-        g = underlying_graph(g)
-    if not g.is_connected():
-        return False
-    adj = {v: set(nbrs) for v, nbrs in g.adjacency.items()}
-    while len(adj) > 4:
-        order = sorted(adj)
-        if rng is not None:
-            rng.shuffle(order)
-        v = _reduce_step(adj, order)
-        if v is None:
-            return False
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-    return (len(adj) == 4
-            and all(len(nbrs) == 3 for nbrs in adj.values()))
+    return _unstack(g, rng) is not None
 
 
 @dataclass(frozen=True)
@@ -204,19 +220,21 @@ def check_edge_classification(
 
     Every edge must lie in a separating triangle or touch a vertex of
     degree three; inputs failing :func:`is_apollonian` are rejected.
+    The separating triangles are read off the one unstacking that
+    recognises the network, not found by a cut test per triangle.
     """
     if isinstance(g, PlanarMap):
         g = underlying_graph(g)
-    if not is_apollonian(g):
+    triangles = _unstack(g)
+    if triangles is None:
         raise NotApollonian("edge classification is stated for "
                             "Apollonian networks")
-    separating = [frozenset(t) for t in separating_triangles(g).separating]
+    covered = {e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))}
     entries = []
     for u, v in sorted(g.edges):
-        pair = {u, v}
         entries.append(EdgeClass(
             edge=(u, v),
             degree_three=g.degree(u) == 3 or g.degree(v) == 3,
-            in_separating_triangle=any(pair <= t for t in separating),
+            in_separating_triangle=(u, v) in covered,
         ))
     return ClassificationReport(tuple(entries))

@@ -272,9 +272,12 @@ def _parse_seed_range(text: str) -> list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            seeds = list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise BadSelector(f"bad seed range {text!r}")
+        if not seeds:
+            raise BadSelector(f"empty seed range {text!r}")
+        return seeds
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:

@@ -1,8 +1,9 @@
 """Canonical codes and isomorphism tests for maps and small graphs.
 
-Map codes relabel darts breadth-first from every (start dart,
-orientation) pair and keep the lexicographic minimum, so two maps get
-equal codes iff they are isomorphic up to reflection.  Graph codes
+Map codes relabel darts breadth-first from a (start dart, orientation)
+pair and keep the lexicographic minimum over the starts at vertices of
+minimum degree (every start when that degree exceeds 3), so two maps
+get equal codes iff they are isomorphic up to reflection.  Graph codes
 keep the least adjacency bitstring over the leaves of a colour
 refinement and individualisation search (format ``G2``; with no
 automorphism pruning, a node cap bounds highly symmetric inputs).
@@ -68,16 +69,28 @@ def _bfs_rows(perm: tuple[int, ...], start: int,
 def map_canonical_code(m: PlanarMap) -> bytes:
     """Invariant byte code: equal codes iff maps are isomorphic.
 
-    Minimizes over all starting darts and both global orientations, so
-    mirror images compare equal.
+    Minimizes over both global orientations, so mirror images compare
+    equal, and over the start darts at vertices of the minimum degree
+    when that degree is at most 3, else over every start dart.  Either
+    way the code is the minimum over every start.
     """
     sigma = m.sigma
     sigma_inv = [0] * m.dart_count
     for d, e in enumerate(sigma):
         sigma_inv[e] = d
+    # A map is simple, so rows 0-3 of a run depend only on the degree k
+    # at the start dart: (0, 1) if k = 1 else (1, 2); (0, 3) if k = 2
+    # else (3, 4); (5, 0) once every degree is at least 3; (0, 6) if
+    # k = 3 else (6, 7).  For a minimum degree of at most 3, a start of
+    # that degree beats any other start by row 3, in both orientations.
+    degrees = [m.degree(v) for v in range(m.vertex_count)]
+    low = min(degrees)
+    starts = range(m.dart_count) if low > 3 else [
+        d for v, k in enumerate(degrees) if k == low
+        for d in m.darts_of_vertex(v)]
     best: list[tuple[int, int]] | None = None
     for perm in (sigma, tuple(sigma_inv)):
-        for start in range(m.dart_count):
+        for start in starts:
             rows = _bfs_rows(perm, start, best)
             if rows is not None and (best is None or rows < best):
                 best = rows

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdclab.apollonian import (
+    _unstack,
     apollonian_dual,
     check_edge_classification,
     generate_apollonian,
@@ -129,6 +130,9 @@ def test_recognition_is_order_independent(seed, shuffle_seed):
     plain = is_apollonian(m)
     shuffled = is_apollonian(m, rng=random.Random(shuffle_seed))
     assert plain is shuffled is True
+    # and the removed neighbourhoods do not depend on the order either
+    assert set(_unstack(m, rng=random.Random(shuffle_seed))) == \
+        set(_unstack(m))
 
 
 def test_apollonian_dual_is_cubic():
@@ -159,10 +163,8 @@ def test_edge_classification_holds_on_k4_and_one_stack():
         underlying_graph(generate_apollonian([0]))).passed
 
 
-def test_edge_classification_counterexample_two_adjacent_stacks():
-    # stack into two faces sharing an edge: the K4 edge disjoint from
-    # the shared edge ends at two degree-4 vertices and lies in no
-    # separating triangle, so the classification fails there
+def _two_adjacent_stacks():
+    """K4 stacked into two faces that share an edge."""
     m = k4()
     face_a = next(f for f in m.faces
                   if {m.labels[v] for v in f.boundary} == {1, 2, 4})
@@ -170,8 +172,14 @@ def test_edge_classification_counterexample_two_adjacent_stacks():
     face_b = next(f for f in m2.faces
                   if {m2.labels[v] for v in f.boundary} == {2, 3, 4})
     m3, _ = augment_face(m2, face_b)
+    return m3
 
-    g = underlying_graph(m3)
+
+def test_edge_classification_counterexample_two_adjacent_stacks():
+    # stack into two faces sharing an edge: the K4 edge disjoint from
+    # the shared edge ends at two degree-4 vertices and lies in no
+    # separating triangle, so the classification fails there
+    g = underlying_graph(_two_adjacent_stacks())
     assert is_apollonian(g)
     report = check_edge_classification(g)
     assert not report.passed
@@ -190,3 +198,21 @@ def test_classification_report_has_all_edges():
     g = underlying_graph(generate_apollonian(6, seed=1))
     report = check_edge_classification(g)
     assert sorted(e.edge for e in report.entries) == sorted(g.edges)
+
+
+def test_unstacking_reads_off_the_separating_triangles():
+    graphs = [underlying_graph(generate_apollonian(k, seed=s))
+              for k in (0, 1, 2, 5, 20, 50) for s in range(50)]
+    graphs.append(underlying_graph(_two_adjacent_stacks()))
+    for g in graphs:
+        triangles = _unstack(g)
+        assert len(triangles) == g.n - 4
+        separating = separating_triangles(g).separating
+        assert set(triangles) == set(separating)
+        cut_by = [frozenset(t) for t in separating]
+        reference = [
+            ((u, v), g.degree(u) == 3 or g.degree(v) == 3,
+             any({u, v} <= t for t in cut_by))
+            for u, v in sorted(g.edges)]
+        assert [(e.edge, e.degree_three, e.in_separating_triangle)
+                for e in check_edge_classification(g).entries] == reference

@@ -5,7 +5,6 @@ import json
 import pytest
 
 import cdclab.apollonian
-import cdclab.cli
 from cdclab.cdc import CircuitDoubleCover, check_orientability, facial_cover
 from cdclab.census import worker_count
 from cdclab.cli import main
@@ -196,14 +195,13 @@ def test_apollonian_check_rejects_cube(tmp_path, capsys):
 
 def test_apollonian_check_recognises_once(tmp_path, capsys, monkeypatch):
     calls = []
-    recognise = cdclab.apollonian.is_apollonian
+    recognise = cdclab.apollonian._unstack
 
     def counting(g, rng=None):
         calls.append(g)
         return recognise(g, rng)
 
-    monkeypatch.setattr(cdclab.apollonian, "is_apollonian", counting)
-    monkeypatch.setattr(cdclab.cli, "is_apollonian", counting, raising=False)
+    monkeypatch.setattr(cdclab.apollonian, "_unstack", counting)
     for name, exit_code in (("apollonian:0,1,2", 0), ("cube", 1)):
         path = tmp_path / "map.json"
         path.write_text(dumps(map_to_json(select(name))))
@@ -322,6 +320,13 @@ def test_verify_prop41_reports_failures(capsys):
     assert doc["seeds"] == [0, 1, 2]
     failed = [r for r in doc["entries"] if not r["passed"]]
     assert (code == 1) == bool(failed)
+
+
+def test_verify_prop41_rejects_empty_seed_range(capsys):
+    code, out, err = run_cli(capsys, "verify", "prop41", "--seeds", "5..1")
+    assert_one_line_usage_error(code, err)
+    assert "empty seed range" in err
+    assert out == ""
 
 
 def test_census_small_corpus(tmp_path, capsys):

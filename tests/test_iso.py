@@ -1,6 +1,7 @@
 """Canonical codes, isomorphism, and the commuting-square check."""
 
 import random
+import struct
 import time
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdclab import iso
 from cdclab.apollonian import generate_apollonian
 from cdclab.corpus import (
     cube,
@@ -30,12 +32,13 @@ from cdclab.iso import (
 )
 from cdclab.planar_map import (
     SimpleGraph,
+    dualize,
     from_rotation,
     mirror,
     normalize_edge,
     underlying_graph,
 )
-from cdclab.surgery import complete_truncation
+from cdclab.surgery import complete_augmentation, complete_truncation
 
 from conftest import apollonian_from_draws, corpus_maps
 
@@ -76,6 +79,52 @@ def test_map_code_separates_same_graph_different_embedding():
     assert graphs_isomorphic(underlying_graph(planar),
                              underlying_graph(toroidal))
     assert map_canonical_code(planar) != map_canonical_code(toroidal)
+
+
+def _all_starts_code(m):
+    """The map code as the least run over every start dart in both
+    orientations, with no start pruned."""
+    sigma_inv = [0] * m.dart_count
+    for d, e in enumerate(m.sigma):
+        sigma_inv[e] = d
+    best = None
+    for perm in (m.sigma, tuple(sigma_inv)):
+        for start in range(m.dart_count):
+            rows = iso._bfs_rows(perm, start, best)
+            if rows is not None and (best is None or rows < best):
+                best = rows
+    return b"M1" + struct.pack(">I", m.dart_count) + \
+        b"".join(struct.pack(">HH", a, b) for a, b in best)
+
+
+def test_map_code_matches_all_starts_reference():
+    corpus = [select(name) for name in default_census_corpus()]
+    stacked = [generate_apollonian(k, seed=s)
+               for k in (0, 1, 2, 3, 5, 8, 13, 21, 30, 40) for s in range(4)]
+    maps = corpus + stacked + [dualize(m) for m in stacked]
+    for host in corpus + stacked[::8]:
+        maps += [complete_truncation(host)[0], complete_augmentation(host)[0]]
+    rng = random.Random(5)
+    maps += [mirror(m) for m in maps[::3]] + \
+        [_relabel_map(m, rng) for m in maps[1::3]]
+    octa = octahedron()
+    maps += [complete_augmentation(dualize(octa))[0],
+             dualize(complete_truncation(octa)[0])]
+    # Two octahedra, each with an edge stacked by vertex 6, joined at
+    # 6: minimum degree 4, yet a start of degree 5 gives the code.
+    maps.append(from_rotation({
+        0: [1, 2, 3, 4, 6], 1: [0, 6, 4, 5, 2], 2: [0, 1, 5, 3],
+        3: [0, 2, 5, 4], 4: [0, 3, 5, 1], 5: [1, 4, 3, 2],
+        6: [0, 10, 11, 1], 10: [11, 12, 13, 14, 6], 11: [10, 6, 14, 15, 12],
+        12: [10, 11, 15, 13], 13: [10, 12, 15, 14], 14: [10, 13, 15, 11],
+        15: [11, 14, 13, 12]}))
+    maps += [from_rotation({1: [2], 2: [1, 3], 3: [2, 4], 4: [3]}),
+             from_rotation({i: [(i - 1) % 7, (i + 1) % 7] for i in range(7)}),
+             from_rotation({0: [1, 2, 3, 4], 1: [0], 2: [0], 3: [0], 4: [0]})]
+    lows = {min(m.degree(v) for v in range(m.vertex_count)) for m in maps}
+    assert lows == {1, 2, 3, 4}
+    for m in maps:
+        assert map_canonical_code(m) == _all_starts_code(m)
 
 
 def _relabel_graph(g: SimpleGraph, rng: random.Random) -> SimpleGraph:
