@@ -15,9 +15,14 @@ deduplicates, orders and limits the covers they yield.
 
 Exhaustive cover lists hold few distinct circuits (wheel:7's 1,751
 orientable covers hold 9,045 circuits, 127 of them distinct), so each
-circuit is worked out once: the transition search builds one object
-per distinct circuit and arc set, and the cover checks read a
-circuit's report, shape and orientation parts from bounded memos.
+circuit is worked out once: both searches build one object per
+distinct circuit (the transition search also per arc set), and the
+cover checks read a circuit's report, trails and orientation parts
+from bounded memos.  Orientability works on trails: a circuit's
+degree-2 vertices chain its edges into trails, each with one free
+direction bit, and the trails of a cover join into components through
+the edges they share, by bitmask, with a search left only at vertices
+of degree >= 4.
 """
 
 from __future__ import annotations
@@ -189,11 +194,11 @@ def validate_cover(g: SimpleGraph,
     any other is normalized first.  Each circuit's report comes from a
     memo that keeps the 1,024 most recently used circuits, so a circuit
     shared by many covers is walked once while a long-lived process
-    holds a bounded number.  The unknown-edge and per-edge diagnostics
-    are built only when something is wrong.  Never raises; failures
-    come back as diagnostics, a circuit that is not iterable or an
-    edge that is not a pair among them (its circuit then counts no
-    edges).
+    holds a bounded number.  The law itself is decided by set algebra;
+    the unknown-edge and per-edge diagnostics are built only when
+    something is wrong.  Never raises; failures come back as
+    diagnostics, a circuit that is not iterable or an edge that is not
+    a pair among them (its circuit then counts no edges).
     """
     edges = g.edges
     sets: list[frozenset[Edge]] = []
@@ -201,9 +206,11 @@ def validate_cover(g: SimpleGraph,
     reports: list[CircuitReport] = []
     for i, c in enumerate(circuits):
         try:
-            if not (isinstance(c, frozenset) and c <= edges):
+            if isinstance(c, frozenset) and c <= edges:
+                rep = _circuit_report(c)
+            else:
                 c = _normalize_circuit(c)
-            rep = _circuit_report(c) if c <= edges else None
+                rep = _circuit_report(c) if c <= edges else None
         except InvalidCover as exc:
             c, rep = frozenset(), CircuitReport(False, False, (str(exc),))
         if rep is None:
@@ -215,9 +222,14 @@ def validate_cover(g: SimpleGraph,
         sets.append(c)
         reports.append(rep)
 
-    multiplicity = Counter(chain.from_iterable(sets))
-    if multiplicity.keys() != edges or \
-            any(m != 2 for m in multiplicity.values()):
+    # every edge twice: an even count of each, all host edges and no
+    # other met, and 2|E| edge slots in all
+    odd: set[Edge] = set()
+    for c in sets:
+        odd ^= c
+    if odd or sum(map(len, sets)) != 2 * len(edges) or \
+            set().union(*sets) != edges:
+        multiplicity = Counter(chain.from_iterable(sets))
         for e in sorted(edges):
             seen = multiplicity.get(e, 0)
             if seen != 2:
@@ -259,35 +271,87 @@ def check_orientability(g: SimpleGraph,
     Returns a witness, or None when the cover admits none.  Invalid
     covers are rejected with :class:`InvalidCover`.
 
-    Each edge has one unknown, its direction in the first circuit
-    holding it; the second runs it backwards.  Where a circuit has
-    degree 2, one edge leaves: an XOR constraint, applied by a parity
-    union-find (a contradiction means no witness).  Where it has degree
-    2m >= 4, m edges leave; only these constraints are searched,
-    iteratively, over the union-find roots they touch.  The witness is
-    the least solution in edge order (circuits in order, edges sorted,
-    an edge's first circuit leaving its smaller end first).
+    Where a circuit has degree 2, one edge leaves, so its degree-2
+    vertices chain its edges into trails, each with one free direction
+    bit; an edge shared by two trails runs opposite ways in them, which
+    fixes their relative bit or refutes the cover.  Where a circuit
+    has degree 2m >= 4, m edges leave; only these constraints are
+    searched, iteratively, over the components of trails they touch.
+    The witness is the least solution in edge order (circuits in
+    order, edges sorted, an edge's first circuit leaving its smaller
+    end first).
     """
     if not isinstance(cover, CircuitDoubleCover):
         cover = CircuitDoubleCover.build(cover)
     report = validate_cover(g, cover.circuits)
     if not report.valid:
         raise InvalidCover("; ".join(report.problems))
-    parts = _orientation(cover.circuits)
+    parts = _orientation(cover.circuits, g.edges)
     return None if parts is None else OrientedCover(parts)
 
 
+@lru_cache(maxsize=16)
+def _edge_bits(edges: frozenset[Edge]) -> dict[Edge, int]:
+    """Each host edge's bit, the edges sorted (memoised; read only)."""
+    return {e: 1 << i for i, e in enumerate(sorted(edges))}
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def _shape(circuit: frozenset[Edge]) -> tuple[tuple[Edge, ...], tuple]:
-    """A circuit's sorted edges and, per vertex in order of first
-    appearance, the (position, side) of its edges there: side 1 at an
-    edge's smaller end, 0 at its larger (memoised)."""
-    edges = sorted(circuit)
-    at: dict[int, list[tuple[int, int]]] = {}
-    for p, (u, v) in enumerate(edges):
-        at.setdefault(u, []).append((p, 1))
+def _trails(circuit: frozenset[Edge], edges: frozenset[Edge]
+            ) -> tuple[tuple[tuple[int, int, int], ...], int, tuple]:
+    """A circuit's trails, base flips and wide-vertex literals
+    (memoised).
+
+    The edge at position p of the circuit's sorted edges is flipped
+    when it runs from its larger end, and it leaves its smaller end iff
+    it is not.  At a vertex of degree 2 exactly one of the two edges
+    leaves, which fixes their relative flip; these links chain the
+    edges into trails, taken in order of their least positions.  A
+    trail's bit is the flip of its least edge, and setting it flips
+    every edge of the trail.  Per trail: the host-edge bitmask of its edges, that
+    of those flipped at bit 0, and its position mask.  ``base`` holds
+    the flips (as position bits) with every trail bit 0.  Per vertex
+    of degree >= 4, in order of first appearance, the literals (trail,
+    c): an edge there leaves it iff its trail's bit ^ c is 1.
+    """
+    bit = _edge_bits(edges)
+    ordered = sorted(circuit)
+    at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (position, side)
+    for p, (u, v) in enumerate(ordered):
+        at.setdefault(u, []).append((p, 1))    # side 1: the smaller end
         at.setdefault(v, []).append((p, 0))
-    return tuple(edges), tuple(map(tuple, at.values()))
+    across = {}
+    for group in at.values():
+        if len(group) == 2:
+            a, b = group
+            across[a], across[b] = b, a
+    trail_of = [-1] * len(ordered)
+    flip = [0] * len(ordered)
+    trails = []
+    base = 0
+    for start in range(len(ordered)):
+        if trail_of[start] >= 0:
+            continue
+        trail_of[start] = len(trails)
+        mask = pattern = pos = 0
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            mask |= bit[ordered[p]]
+            pos |= 1 << p
+            if flip[p]:
+                pattern |= bit[ordered[p]]
+                base |= 1 << p
+            for side in (0, 1):
+                q, other = across.get((p, side), (p, side))
+                if trail_of[q] < 0:     # one of p, q leaves this vertex
+                    trail_of[q] = len(trails)
+                    flip[q] = flip[p] ^ side ^ other ^ 1
+                    stack.append(q)
+        trails.append((mask, pattern, pos))
+    wide = tuple(tuple((trail_of[p], flip[p] ^ side) for p, side in group)
+                 for group in at.values() if len(group) > 2)
+    return tuple(trails), base, wide
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -296,93 +360,96 @@ def _part(circuit: frozenset[Edge], flips: int) -> frozenset[Arc]:
     sorted edges runs from its larger end iff bit p of ``flips`` is set
     (memoised)."""
     return frozenset([(v, u) if flips >> p & 1 else (u, v)
-                      for p, (u, v) in enumerate(_shape(circuit)[0])])
+                      for p, (u, v) in enumerate(sorted(circuit))])
 
 
 def _orientation(circuits: Sequence[frozenset[Edge]],
+                 edges: frozenset[Edge],
                  deadline: _Deadline | None = None
                  ) -> tuple[frozenset[Arc], ...] | None:
-    """The witness parts of :func:`check_orientability`, or None.
+    """The witness parts of :func:`check_orientability` for a valid
+    cover of the host with edge set ``edges``, or None.
 
-    Edge ids follow first appearance, and x_e = 1 when e's first
-    circuit runs it from its larger end.  Each circuit's sorted edges
-    and per-vertex literal groups come from the memo :func:`_shape`,
-    and each witness part from the memo :func:`_part`, keyed by the
-    circuit and the bitmask of its edges run backwards, so covers
-    sharing a circuit share its parts.  The parity union-find is
-    inline: a find halves its path, and each class is rooted at its
-    least edge, so no parent is larger than its child and one pass in
-    id order flattens every class.  Trying 0 before 1 in root order
-    then finds the least solution.  With ``deadline``, raises
-    :class:`TimeBudgetExceeded` once the budget has run out, before
-    building anything if it already has.
+    Each circuit's trails come from the memo :func:`_trails` and each
+    witness part from the memo :func:`_part`, keyed by the circuit and
+    its flips, so covers sharing a circuit share its parts.  Trails
+    are taken in circuit order.  A component of trails keeps the
+    bitmask of its open edges (seen once) and of those flipped when
+    its root, its first trail, has bit 0.  A trail meeting a component
+    shares edges with it, which it runs the other way: one AND and XOR
+    on those edges either fixes its bit relative to the root or
+    refutes the cover.  A trail meeting several components joins them
+    under the oldest root, so no trail's parent is younger than it and
+    one pass in trail order flattens every component.
+
+    The least edge of a component's first circuit comes first among
+    its edges in edge order, and the component's root holds it at its
+    least position, as the root's bit.  Trying 0 before 1 in root order
+    therefore finds the least solution in edge order.  With
+    ``deadline``, raises :class:`TimeBudgetExceeded` once the budget
+    has run out, before building anything if it already has.
     """
     if deadline is not None and deadline.late():
         raise TimeBudgetExceeded("no time left for the orientation search")
-    edge_id: dict[Edge, int] = {}
-    parent: list[int] = []
-    parity: list[int] = []      # x_e xor x_parent
-    rows = []                   # per circuit: it, and per edge (id, runs
-                                # it back)
-    wide: list[list[tuple[int, int]]] = []
+    parent: list[int] = []      # per trail: an older trail of its component
+    parity: list[int] = []      # its bit xor that trail's
+    live: list[list[int]] = []  # [root, open mask, flipped mask], by root
+    shapes = []
     for circuit in circuits:
-        sorted_edges, groups = _shape(circuit)
-        row = []
-        for e in sorted_edges:
-            eid = edge_id.get(e)
-            if eid is None:
-                eid = edge_id[e] = len(parent)
-                parent.append(eid)
-                parity.append(0)
-                row.append((eid, 0))
-            else:
-                row.append((eid, 1))
-        rows.append((circuit, row))
-        # per vertex: literals (edge, c) with "the edge leaves here" =
-        # x_e ^ c, where c is the side, flipped if the edge is run back
-        for group in groups:
-            if len(group) > 2:
-                wide.append([(row[p][0], side ^ row[p][1])
-                             for p, side in group])
-                continue
-            d = 1                       # x_a ^ x_b ^ ca ^ cb = 1
-            roots = []
-            for p, side in group:
-                x, back = row[p]
-                d ^= side ^ back
-                while parent[x] != x:
-                    y = parent[x]
-                    if parent[y] != y:  # halve: skip to the grandparent
-                        parity[x] ^= parity[y]
-                        parent[x] = y = parent[y]
-                    d ^= parity[x]
-                    x = y
-                roots.append(x)
-            ra, rb = roots
-            if ra == rb:
-                if d:
+        shape = _trails(circuit, edges)
+        shapes.append((circuit, len(parent), shape))
+        for mask, pattern, _ in shape[0]:
+            t = len(parent)
+            parent.append(t)
+            parity.append(0)
+            fresh = mask                # its edges seen for the first time
+            host = None
+            for comp in live:
+                shared = comp[1] & mask
+                if not shared:
+                    continue
+                same = (pattern ^ comp[2]) & shared
+                if same and same != shared:
                     return None
-            elif ra < rb:
-                parent[rb], parity[rb] = ra, d
+                comp[1] ^= shared
+                fresh ^= shared
+                rel = 0 if same else 1  # t's bit xor the root's
+                if host is None:
+                    host = comp
+                    parent[t], parity[t] = comp[0], rel
+                else:                   # join comp under host's root
+                    rel ^= parity[t]
+                    parent[comp[0]], parity[comp[0]] = host[0], rel
+                    host[1] |= comp[1]
+                    host[2] |= comp[2] ^ comp[1] if rel else comp[2]
+                    comp[1] = 0
+            if host is None:
+                live.append([t, mask, pattern])
             else:
-                parent[ra], parity[ra] = rb, d
+                host[1] |= fresh
+                host[2] |= (pattern ^ mask if parity[t] else pattern) & fresh
+                live = [comp for comp in live if comp[1]]
     for x, y in enumerate(parent):      # y < x is already flat
         if y != x:
             parent[x] = parent[y]
             parity[x] ^= parity[y]
 
     # constraint k needs need[k] more leaving edges among free[k] open
-    need = [len(lits) // 2 for lits in wide]
-    free = [len(lits) for lits in wide]
+    need: list[int] = []
+    free: list[int] = []
     occ: dict[int, list[tuple[int, int]]] = {}
-    for k, lits in enumerate(wide):
-        for eid, c in lits:
-            r = parent[eid]
-            entry = (k, parity[eid] ^ c)
-            if r in occ:
-                occ[r].append(entry)
-            else:
-                occ[r] = [entry]
+    for _, first, (_, _, wide) in shapes:
+        for lits in wide:
+            k = len(need)
+            need.append(len(lits) // 2)
+            free.append(len(lits))
+            for j, c in lits:
+                r = parent[first + j]
+                entry = (k, parity[first + j] ^ c)
+                if r in occ:
+                    occ[r].append(entry)
+                else:
+                    occ[r] = [entry]
     order = sorted(occ)
 
     def place(r: int, x: int, sign: int) -> bool:
@@ -410,10 +477,13 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
         return None
 
     value = {r: t - 1 for r, t in zip(order, tried)}
-    x = [value.get(r, 0) ^ p for r, p in zip(parent, parity)]
-    return tuple(_part(circuit, sum((x[eid] ^ back) << p
-                                    for p, (eid, back) in enumerate(row)))
-                 for circuit, row in rows)
+    parts = []
+    for circuit, first, (trails, flips, _) in shapes:
+        for j, (_, _, pos) in enumerate(trails, first):
+            if value.get(parent[j], 0) ^ parity[j]:
+                flips ^= pos
+        parts.append(_part(circuit, flips))
+    return tuple(parts)
 
 
 def validate_oriented_cover(g: SimpleGraph, cover: CircuitDoubleCover,
@@ -784,19 +854,29 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
     odd_count = [0] * g.n
     rem_e = [g.degree(v) for v in range(g.n)]
 
+    # per member tuple: the part's (key, circuit), None if disconnected
+    part_of: dict[tuple[int, ...], tuple | None] = {}
+
     def leaf() -> tuple[tuple, CircuitDoubleCover] | None:
         """The cover the parts make, keyed and decided; None if a part
         is not connected or the budget ran out before the decision."""
         keyed = []
         for members in part_members:
-            part = [edges[i] for i in members]
-            if not _connected(_adjacency(part)):
+            members = tuple(members)
+            if members in part_of:
+                kc = part_of[members]
+            else:
+                part = [edges[i] for i in members]
+                kc = part_of[members] = (
+                    (_circuit_key(part), frozenset(part))
+                    if _connected(_adjacency(part)) else None)
+            if kc is None:
                 return None
-            keyed.append((_circuit_key(part), frozenset(part)))
+            keyed.append(kc)
         keyed.sort(key=lambda kc: kc[0])
         circuits = tuple(c for _, c in keyed)
         try:
-            parts = _orientation(circuits, deadline)
+            parts = _orientation(circuits, g.edges, deadline)
         except TimeBudgetExceeded:
             return None     # undecided when the budget ran out: left out
         return tuple(k for k, _ in keyed), CircuitDoubleCover(circuits, parts)

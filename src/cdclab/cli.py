@@ -220,7 +220,7 @@ def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
     }
     if report.valid:
         # the cover is valid, so its circuits go straight to the search
-        body["orientable"] = _orientation(cover.circuits) is not None
+        body["orientable"] = _orientation(cover.circuits, g.edges) is not None
         body.update(_surface(cover, g))
     passed = report.valid
     if cover.orientation is not None:

@@ -272,9 +272,20 @@ class PlanarMap:
                 f"F={self.face_count}, genus={self.euler_genus()})")
 
     def with_labels(self, labels: Sequence[int]) -> "PlanarMap":
-        """The same map with vertices renamed externally."""
-        return PlanarMap(self._sigma, self._vertex_of, labels,
-                         require_planar=False)
+        """The same map with vertices renamed externally.
+
+        The map is valid already, so only the labels are checked; the
+        copy shares every other slot, traced faces included.
+        """
+        labels = tuple(labels)
+        if len(labels) != self._vertex_count or \
+                len(set(labels)) != self._vertex_count:
+            raise OddEulerDefect("labels must name each vertex once")
+        out = object.__new__(PlanarMap)
+        for slot in PlanarMap.__slots__:
+            setattr(out, slot, getattr(self, slot))
+        out._labels = labels
+        return out
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
-from cdclab import cdc
+import cdclab
 from cdclab.corpus import cube, k4, octahedron, prism, wheel
 from cdclab.planar_map import PlanarMap
 from cdclab.surgery import augment_face
@@ -12,9 +15,23 @@ from cdclab.surgery import augment_face
 NAMED_CORPUS = ["k4", "prism", "cube", "octahedron", "wheel:4", "wheel:5"]
 
 
+def _memos() -> list:
+    """Every function with a ``cache_clear`` in the cdclab modules."""
+    memos = {}
+    for info in pkgutil.iter_modules(cdclab.__path__):
+        module = importlib.import_module(f"cdclab.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                memos[id(value)] = value
+    return list(memos.values())
+
+
+MEMOS = _memos()
+
+
 def clear_memos() -> None:
-    """Empty the per-circuit memos of the cover checks."""
-    for memo in (cdc._circuit_report, cdc._shape, cdc._part):
+    """Empty every memo of the cdclab modules."""
+    for memo in MEMOS:
         memo.cache_clear()
 
 

@@ -19,6 +19,7 @@ from cdclab.apollonian import (
 from cdclab.cdc import (
     _Deadline,
     _enumerate_all,
+    _orientation,
     CircuitDoubleCover,
     CircuitReport,
     CoverReport,
@@ -672,6 +673,117 @@ def test_orientability_matches_brute_force(name):
         assert (witness is not None) == (cover.orientation is not None)
         if witness is not None:
             assert validate_oriented_cover(g, cover, witness) == []
+
+
+def _reference_orientation(circuits):
+    """The edge-level orientation search the trail version replaced:
+    one unknown per edge (its direction in its first circuit), a parity
+    union-find over the degree-2 vertices, rooted at each class's least
+    edge, and a search over the roots of the wider ones, 0 before 1."""
+    edge_id, parent, parity, rows, wide = {}, [], [], [], []
+
+    def find(x):
+        d = 0
+        while parent[x] != x:
+            d ^= parity[x]
+            x = parent[x]
+        return x, d
+
+    for circuit in circuits:
+        row = []
+        for e in sorted(circuit):
+            if e in edge_id:
+                row.append((edge_id[e], 1))
+            else:
+                edge_id[e] = len(parent)
+                parent.append(len(parent))
+                parity.append(0)
+                row.append((edge_id[e], 0))
+        rows.append((circuit, row))
+        at = {}
+        for p, (u, v) in enumerate(sorted(circuit)):
+            at.setdefault(u, []).append((p, 1))
+            at.setdefault(v, []).append((p, 0))
+        for group in at.values():
+            # the edge at p leaves here iff x_e ^ side ^ back
+            lits = [(row[p][0], side ^ row[p][1]) for p, side in group]
+            if len(lits) > 2:
+                wide.append(lits)
+                continue
+            (a, ca), (b, cb) = lits
+            (ra, da), (rb, db) = find(a), find(b)
+            d = 1 ^ ca ^ cb ^ da ^ db
+            if ra == rb:
+                if d:
+                    return None
+            else:
+                lo, hi = min(ra, rb), max(ra, rb)
+                parent[hi], parity[hi] = lo, d
+    roots = sorted({find(e)[0] for lits in wide for e, _ in lits})
+    value = {}
+
+    def feasible():
+        for lits in wide:
+            known = [find(e) for e, _ in lits]
+            leaving = [value[r] ^ d ^ c for (r, d), (_, c) in
+                       zip(known, lits) if r in value]
+            free = len(lits) - len(leaving)
+            if not sum(leaving) <= len(lits) // 2 <= sum(leaving) + free:
+                return False
+        return True
+
+    def search(i):
+        if i == len(roots):
+            return True
+        for bit in (0, 1):
+            value[roots[i]] = bit
+            if feasible() and search(i + 1):
+                return True
+        del value[roots[i]]
+        return False
+
+    if not search(0):
+        return None
+    x = [value.get(r, 0) ^ d for r, d in map(find, range(len(parent)))]
+    return tuple(
+        frozenset((v, u) if x[eid] ^ back else (u, v)
+                  for (u, v), (eid, back) in zip(sorted(circuit), row))
+        for circuit, row in rows)
+
+
+def test_orientation_matches_the_edge_level_reference():
+    # every oracle cover, orientable or not, of each host and of three
+    # relabelled copies: the same witness parts, or None, as the edge
+    # level search, byte for byte
+    for name in ["k4", "prism", "cube", "wheel:4", "wheel:5", "wheel:6"]:
+        g = underlying_graph(select(name))
+        for host in [g] + [_relabel(g, seed)[0] for seed in range(3)]:
+            covers = require_complete(
+                enumerate_covers(host, orientable_only=False)).covers
+            assert any(c.orientation is None for c in covers), name
+            for cover in covers:
+                expected = _reference_orientation(cover.circuits)
+                assert cover.orientation == expected, name
+                assert _orientation(cover.circuits, host.edges) == \
+                    expected, name
+    c5 = _cycle(5)
+    forward, backward = _orientation((c5.edges, c5.edges), c5.edges)
+    assert (forward, backward) == _reference_orientation((c5.edges,) * 2)
+    assert backward == {(v, u) for u, v in forward}
+    k4_graph = underlying_graph(k4())
+    hamiltonians = [frozenset(c) for c in K4_HAMILTONIANS]
+    assert _reference_orientation(hamiltonians) is None
+    assert _orientation(hamiltonians, k4_graph.edges) is None
+
+
+def test_oracle_builds_each_circuit_once():
+    # the oracle keys each part by its members, so its covers share one
+    # object per distinct circuit
+    covers = require_complete(enumerate_covers(
+        underlying_graph(wheel(6)), orientable_only=False)).covers
+    circuits = [c for cover in covers for c in cover.circuits]
+    assert len(set(circuits)) == len({id(c) for c in circuits}) < \
+        len(circuits)
 
 
 def test_oracle_builds_each_cover_once(monkeypatch):

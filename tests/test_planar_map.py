@@ -12,9 +12,11 @@ from cdclab.errors import (
     NonPlanarEmbedding,
     NonSymmetricAdjacency,
     NotSimple,
+    OddEulerDefect,
     TooSmall,
 )
 from cdclab.planar_map import (
+    PlanarMap,
     SimpleGraph,
     alpha,
     dualize,
@@ -72,6 +74,30 @@ def test_mirror_of_k4_is_planar():
     mirrored = from_rotation({v: list(reversed(r))
                               for v, r in enumerate(rows)})
     assert mirrored.euler_genus() == 0
+
+
+def test_with_labels_matches_the_full_constructor():
+    # a relabelled copy keeps the validated slots and checks only the
+    # labels, the toroidal K4 included
+    toroidal = from_rotation({1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4],
+                              4: [1, 2, 3]}, require_planar=False)
+    for m in [k4(), cube(), wheel(5), toroidal]:
+        before = m.labels
+        labels = [10 * v + 3 for v in reversed(range(m.vertex_count))]
+        full = PlanarMap(m.sigma, m.vertex_of, labels, require_planar=False)
+        copy = m.with_labels(labels)
+        assert copy == full and copy.labels == tuple(labels)
+        assert copy.faces == full.faces
+        assert copy.euler_genus() == full.euler_genus()
+        assert copy.rotation_lists() == full.rotation_lists()
+        assert m.labels == before
+        for bad in (labels[1:], labels[:-1] + labels[:1]):
+            with pytest.raises(OddEulerDefect,
+                               match="labels must name each vertex once"):
+                m.with_labels(bad)
+            with pytest.raises(OddEulerDefect,
+                               match="labels must name each vertex once"):
+                PlanarMap(m.sigma, m.vertex_of, bad, require_planar=False)
 
 
 def test_loop_is_rejected():
