@@ -18,8 +18,8 @@ from .errors import BadSelector, NotApollonian
 from .planar_map import (
     PlanarMap,
     SimpleGraph,
+    _dart_numbering,
     dualize,
-    from_rotation,
     underlying_graph,
 )
 
@@ -45,7 +45,7 @@ def random_stacks(count: int, seed: int | None) -> list[int]:
 
 
 def _dart_key(u: int, v: int) -> tuple[int, int, bool]:
-    """Sort key of the dart u->v, in the dart order of ``from_rotation``."""
+    """Sort key of the dart u->v, in the dart order of ``_dart_numbering``."""
     return (u, v, False) if u < v else (v, u, True)
 
 
@@ -63,14 +63,14 @@ def generate_apollonian(
     order they were planted.
 
     The result equals a chain of :func:`~cdclab.surgery.augment_face`
-    calls, but the network grows in one rotation table and is built
-    once at the end, with no per-step 3-connectivity check (stacking
-    into a face of a triangulation keeps it 3-connected).  Dart order,
-    and with it the canonical face order, depends only on endpoint
-    ids, which stacking never changes, so the faces are kept sorted by
-    the key of their smallest dart instead of being re-traced.  A new
-    triangle's smallest dart is the edge it keeps from the face it
-    replaces.
+    calls, but the network grows in one rotation table whose darts are
+    numbered once at the end.  Stacking into a face of a triangulation
+    keeps it a 3-connected planar triangulation, so neither the steps
+    nor the result are validated again.  Dart order, and with it the
+    canonical face order, depends only on endpoint ids, which stacking
+    never changes, so the faces are kept sorted by the key of their
+    smallest dart instead of being re-traced.  A new triangle's
+    smallest dart is the edge it keeps from the face it replaces.
     """
     if isinstance(stacks, int):
         stacks = random_stacks(stacks, seed)
@@ -91,8 +91,8 @@ def generate_apollonian(
             row.insert(row.index(prev) + 1, apex)
             insort(faces, (_dart_key(prev, v), (prev, v, apex)))
         rotation.append(list(reversed(walk)))
-    return from_rotation({v + 1: [w + 1 for w in row]
-                          for v, row in enumerate(rotation)})
+    return PlanarMap._derived(*_dart_numbering(rotation),
+                              range(1, len(rotation) + 1))
 
 
 def apollonian_dual(stacks: Sequence[int] | int, *,

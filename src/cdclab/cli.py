@@ -35,7 +35,6 @@ from .errors import (
     BadSelector,
     CdcLabError,
     EdgeLimitExceeded,
-    MapError,
     NotApollonian,
     TimeBudgetExceeded,
     UnknownEdge,
@@ -44,10 +43,9 @@ from .io_formats import (
     cover_to_json,
     correspondence_to_json,
     dumps,
-    load_path,
-    map_from_json,
     map_to_json,
     read_cover,
+    read_map,
     report_to_json,
 )
 from .iso import verify_square
@@ -70,15 +68,8 @@ def _emit(ns: argparse.Namespace, obj: Any) -> None:
         sys.stdout.write(text)
 
 
-def _graph(selector: str) -> PlanarMap:
-    try:
-        return select(selector)
-    except MapError as exc:
-        raise BadSelector(f"{selector}: {exc}") from exc
-
-
 def _cmd_show(ns: argparse.Namespace) -> int:
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     _emit(ns, report_to_json("show", {
         "name": ns.graph,
         "vertices": m.vertex_count,
@@ -93,7 +84,7 @@ def _cmd_show(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dual(ns: argparse.Namespace) -> int:
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     _emit(ns, map_to_json(dualize(m)))
     return EXIT_PASS
 
@@ -101,7 +92,7 @@ def _cmd_dual(ns: argparse.Namespace) -> int:
 def _cmd_truncate(ns: argparse.Namespace) -> int:
     from .surgery import complete_truncation, truncate_vertex
 
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     if ns.vertex is not None:
         try:
             v = m.labels.index(ns.vertex)
@@ -121,8 +112,10 @@ def _cmd_truncate(ns: argparse.Namespace) -> int:
 def _cmd_augment(ns: argparse.Namespace) -> int:
     from .surgery import augment_face, complete_augmentation
 
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     if ns.face is not None:
+        if not 0 <= ns.face < m.face_count:
+            raise BadSelector(f"face {ns.face} not in {ns.graph}")
         out, corr = augment_face(m, ns.face)
     else:
         out, corr = complete_augmentation(m)
@@ -143,7 +136,7 @@ def _cmd_apollonian_generate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_apollonian_check(ns: argparse.Namespace) -> int:
-    m = map_from_json(load_path(ns.file))
+    m = read_map(ns.file)
     g = underlying_graph(m)
     body: dict[str, Any] = {
         "file": ns.file,
@@ -179,7 +172,7 @@ def _cover_entry(cover, m: PlanarMap, g) -> dict[str, Any]:
 
 
 def _cmd_cdc_enumerate(ns: argparse.Namespace) -> int:
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     g = underlying_graph(m)
     orientable_only = not ns.all
     result = enumerate_covers(g, orientable_only=orientable_only,
@@ -205,7 +198,7 @@ def _cmd_cdc_enumerate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     g = underlying_graph(m)
     cover = read_cover(ns.cover, m)
     report = validate_cover(g, cover.circuits)
@@ -235,7 +228,7 @@ def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
 def _cmd_cdc_translate(ns: argparse.Namespace) -> int:
     from .surgery import complete_truncation
 
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     mt, corr = complete_truncation(m)
     cover = read_cover(ns.cover, mt)
     report = translate_cover(cover, corr)
@@ -253,7 +246,7 @@ def _cmd_cdc_translate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify_square(ns: argparse.Namespace) -> int:
-    m = _graph(ns.graph)
+    m = select(ns.graph)
     report = verify_square(m)
     _emit(ns, report_to_json("square", {
         "host": ns.graph,

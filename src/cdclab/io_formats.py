@@ -11,7 +11,7 @@ import json
 from typing import Any, Mapping
 
 from .cdc import CircuitDoubleCover, Edge
-from .errors import BadSelector, InvalidCover, UnknownEdge
+from .errors import BadSelector, InvalidCover, MapError, UnknownEdge
 from .planar_map import PlanarMap, from_rotation
 from .surgery import Correspondence
 
@@ -42,6 +42,8 @@ def map_to_json(m: PlanarMap) -> dict[str, Any]:
 
 
 def map_from_json(data: Any) -> PlanarMap:
+    """Parse a planar-map/v1 document, or a report carrying one.  Map
+    files enter here, so any malformed map is a :class:`BadSelector`."""
     if isinstance(data, Mapping) and data.get("format") == REPORT_FORMAT \
             and isinstance(data.get("map"), Mapping):
         # surgery reports embed their output map; accept them directly
@@ -58,7 +60,10 @@ def map_from_json(data: Any) -> PlanarMap:
             raise BadSelector(f"bad vertex row {row!r}") from exc
     if len(adjacency) != len(rows):
         raise BadSelector("duplicate vertex ids")
-    return from_rotation(adjacency)
+    try:
+        return from_rotation(adjacency)
+    except MapError as exc:
+        raise BadSelector(f"planar-map/v1: {exc}") from exc
 
 
 def _index_of(m: PlanarMap) -> dict[int, int]:

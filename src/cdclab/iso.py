@@ -266,8 +266,8 @@ def cross_check_isomorphism(m1: PlanarMap, m2: PlanarMap) -> bool:
     """Graph-level isomorphism decided through the map-code path.
 
     Valid for 3-connected planar inputs, whose plane embedding is
-    unique up to reflection; used as a fast alternative to the
-    brute-force graph code.
+    unique up to reflection; an alternative to the colour-refinement
+    graph code.
     """
     if not (is_3_connected(m1) and is_3_connected(m2)):
         raise NotThreeConnected("map-code shortcut needs 3-connected inputs")

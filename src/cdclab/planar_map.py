@@ -81,15 +81,12 @@ class PlanarMap:
         if sorted(sigma) != list(range(n_darts)):
             raise OddEulerDefect("sigma is not a permutation of the darts")
 
-        n_vertices = max(vertex_of) + 1
-        if sorted(set(vertex_of)) != list(range(n_vertices)):
+        if sorted(set(vertex_of)) != list(range(max(vertex_of) + 1)):
             raise OddEulerDefect("vertex ids are not dense")
 
+        self._fill(sigma, vertex_of, labels)
         # Each vertex's darts must form a single sigma cycle.
-        darts_at: list[list[int]] = [[] for _ in range(n_vertices)]
-        for d, v in enumerate(vertex_of):
-            darts_at[v].append(d)
-        for v, incident in enumerate(darts_at):
+        for v, incident in enumerate(self._vertex_darts):
             d0 = incident[0]
             seen = 1
             d = sigma[d0]
@@ -124,27 +121,40 @@ class PlanarMap:
         if len(reached) != n_darts:
             raise Disconnected("the map is not connected")
 
+        genus = self.euler_genus()
+        if require_planar and genus:
+            raise NonPlanarEmbedding(
+                f"rotation system has Euler genus {genus}, not 0")
+
+    @classmethod
+    def _derived(cls, sigma: Sequence[int], vertex_of: Sequence[int],
+                 labels: Sequence[int] | None = None) -> "PlanarMap":
+        """A map built from valid maps by a construction that keeps it
+        valid (dual, mirror, stacking, surgery): only the labels are
+        checked."""
+        out = object.__new__(cls)
+        out._fill(tuple(sigma), tuple(vertex_of), labels)
+        return out
+
+    def _fill(self, sigma: tuple[int, ...], vertex_of: tuple[int, ...],
+              labels: Sequence[int] | None) -> None:
+        n_vertices = max(vertex_of) + 1
+        darts_at: list[list[int]] = [[] for _ in range(n_vertices)]
+        for d, v in enumerate(vertex_of):
+            darts_at[v].append(d)
         if labels is None:
             labels = tuple(range(n_vertices))
         else:
             labels = tuple(labels)
             if len(labels) != n_vertices or len(set(labels)) != n_vertices:
                 raise OddEulerDefect("labels must name each vertex once")
-
         self._sigma = sigma
         self._vertex_of = vertex_of
         self._labels = labels
         self._vertex_count = n_vertices
-        self._vertex_darts = tuple(tuple(sorted(ds)) for ds in darts_at)
+        self._vertex_darts = tuple(map(tuple, darts_at))
         self._faces = None
         self._face_of_dart = None
-
-        defect = 2 - (self.vertex_count - self.edge_count + self.face_count)
-        if defect % 2:
-            raise OddEulerDefect(f"Euler defect {defect} is odd")
-        if require_planar and defect:
-            raise NonPlanarEmbedding(
-                f"rotation system has Euler genus {defect // 2}, not 0")
 
     # -- basic views ---------------------------------------------------
 
@@ -271,22 +281,6 @@ class PlanarMap:
         return (f"PlanarMap(V={self.vertex_count}, E={self.edge_count}, "
                 f"F={self.face_count}, genus={self.euler_genus()})")
 
-    def with_labels(self, labels: Sequence[int]) -> "PlanarMap":
-        """The same map with vertices renamed externally.
-
-        The map is valid already, so only the labels are checked; the
-        copy shares every other slot, traced faces included.
-        """
-        labels = tuple(labels)
-        if len(labels) != self._vertex_count or \
-                len(set(labels)) != self._vertex_count:
-            raise OddEulerDefect("labels must name each vertex once")
-        out = object.__new__(PlanarMap)
-        for slot in PlanarMap.__slots__:
-            setattr(out, slot, getattr(self, slot))
-        out._labels = labels
-        return out
-
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -381,24 +375,31 @@ def from_rotation(
                 raise NonSymmetricAdjacency(
                     f"arc {names[v]}->{names[w]} has no reverse")
 
-    edge_list = sorted({normalize_edge(v, w)
-                        for v, row in enumerate(rotations) for w in row})
-    edge_index = {e: i for i, e in enumerate(edge_list)}
-
-    def dart(v: int, w: int) -> int:
-        i = edge_index[normalize_edge(v, w)]
-        return 2 * i if v < w else 2 * i + 1
-
-    n_darts = 2 * len(edge_list)
-    sigma = [0] * n_darts
-    vertex_of = [0] * n_darts
-    for v, row in enumerate(rotations):
-        for j, w in enumerate(row):
-            d = dart(v, w)
-            vertex_of[d] = v
-            sigma[d] = dart(v, row[(j + 1) % len(row)])
-
+    sigma, vertex_of = _dart_numbering(rotations)
     return PlanarMap(sigma, vertex_of, names, require_planar=require_planar)
+
+
+def _dart_numbering(
+        rotations: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """``sigma`` and ``vertex_of`` of dense counterclockwise rows.
+
+    Edges are numbered in sorted endpoint order, and the edge
+    ``{v < w}`` owns dart ``v -> w`` (even) and ``w -> v`` (odd).
+    """
+    dart: dict[tuple[int, int], int] = {}
+    for v, row in enumerate(rotations):
+        for w in sorted(row):
+            if w > v:
+                dart[v, w] = d = len(dart)
+                dart[w, v] = d + 1
+    sigma = [0] * len(dart)
+    vertex_of = [0] * len(dart)
+    for v, row in enumerate(rotations):
+        for w, nxt in zip(row, row[1:] + row[:1]):
+            d = dart[v, w]
+            vertex_of[d] = v
+            sigma[d] = dart[v, nxt]
+    return sigma, vertex_of
 
 
 def euler_genus(m: PlanarMap) -> int:
@@ -411,8 +412,7 @@ def mirror(m: PlanarMap) -> PlanarMap:
     inv = [0] * m.dart_count
     for d, e in enumerate(m.sigma):
         inv[e] = d
-    return PlanarMap(inv, m.vertex_of, m.labels,
-                     require_planar=m.euler_genus() == 0)
+    return PlanarMap._derived(inv, m.vertex_of, m.labels)
 
 
 def dualize(m: PlanarMap) -> PlanarMap:
@@ -423,10 +423,11 @@ def dualize(m: PlanarMap) -> PlanarMap:
     are the vertices of ``m``, so applying ``dualize`` twice gives back
     the primal up to vertex renaming.  Raises :class:`NotSimpleDual`
     when two faces of ``m`` share several edges or a face touches
-    itself across an edge.
+    itself across an edge, and :class:`NonPlanarEmbedding` when ``m``
+    has positive genus.
     """
-    faces = m.faces
-    face_of = [m.face_of_dart(d) for d in range(m.dart_count)]
+    m.faces
+    face_of = m._face_of_dart
 
     seen_pairs: set[tuple[int, int]] = set()
     for d in range(0, m.dart_count, 2):
@@ -437,9 +438,13 @@ def dualize(m: PlanarMap) -> PlanarMap:
         if pair in seen_pairs:
             raise NotSimpleDual(f"faces {pair} share more than one edge")
         seen_pairs.add(pair)
+    genus = m.euler_genus()
+    if genus:
+        raise NonPlanarEmbedding(
+            f"rotation system has Euler genus {genus}, not 0")
 
     sigma_star = [m.sigma[d ^ 1] for d in range(m.dart_count)]
-    return PlanarMap(sigma_star, face_of, tuple(range(len(faces))))
+    return PlanarMap._derived(sigma_star, face_of)
 
 
 def underlying_graph(m: PlanarMap) -> SimpleGraph:

@@ -1,10 +1,11 @@
 """Face augmentation and vertex truncation with correspondence tables.
 
-Both surgeries edit rotation lists and rebuild through
-:func:`~cdclab.planar_map.from_rotation`, so every output is
-re-validated (simple, connected, genus 0) by construction.  One
-private ``_augment`` plants the apexes of a single face, of every
-face, and of the duality square's augmented side.
+Both surgeries edit rotation lists and number the darts of the result
+directly.  Truncating a vertex or planting an apex in a face of a
+3-connected planar map gives a 3-connected planar map again, so the
+output is not re-validated; the host's 3-connectivity is checked once,
+on entry.  One private ``_augment`` plants the apexes of a single face,
+of every face, and of the duality square's augmented side.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .errors import NotThreeConnected
 from .planar_map import (
     Face,
     PlanarMap,
+    _dart_numbering,
     alpha,
-    from_rotation,
     is_3_connected,
     normalize_edge,
     require_face,
@@ -95,7 +96,7 @@ def _augment(m: PlanarMap,
 
     base = max(m.labels) + 1
     labels = m.labels + tuple(range(base, base + len(faces)))
-    out = from_rotation(dict(enumerate(rotation))).with_labels(labels)
+    out = PlanarMap._derived(*_dart_numbering(rotation), labels)
     corr = Correspondence(
         kind="augment",
         inherited_edges={e: e for e in m.edges()},
@@ -126,20 +127,13 @@ def truncate_vertex(m: PlanarMap, v: int) -> tuple[PlanarMap, Correspondence]:
     def w_id(j: int) -> int:
         return (n - 1) + (j % k)
 
-    adjacency: dict[int, list[int]] = {}
-    for u in range(n):
-        if u == v:
-            continue
-        adjacency[keep(u)] = [
-            w_id(ring.index(u)) if x == v else keep(x)
-            for x in rotations[u]]
-    for j, u in enumerate(ring):
-        adjacency[w_id(j)] = [keep(u), w_id(j + 1), w_id(j - 1)]
-
+    # surviving vertices in id order, then the new cycle
+    rows = [[w_id(ring.index(u)) if x == v else keep(x) for x in rotations[u]]
+            for u in range(n) if u != v]
+    rows += [[keep(u), w_id(j + 1), w_id(j - 1)] for j, u in enumerate(ring)]
     base = max(m.labels) + 1
-    labels = tuple(m.labels[u] for u in range(n) if u != v)
-    labels += tuple(base + j for j in range(k))
-    out = from_rotation(adjacency).with_labels(labels)
+    labels = m.labels[:v] + m.labels[v + 1:] + tuple(range(base, base + k))
+    out = PlanarMap._derived(*_dart_numbering(rows), labels)
 
     ring_edges = [normalize_edge(v, u) for u in ring]
     inherited: dict[Edge, Edge] = {}
@@ -182,10 +176,8 @@ def _complete_truncation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
     for d, e in enumerate(sigma):
         sigma_inv[e] = d
 
-    adjacency = {
-        d: [alpha(d), sigma[d], sigma_inv[d]]
-        for d in range(m.dart_count)}
-    out = from_rotation(adjacency)
+    out = PlanarMap._derived(*_dart_numbering(
+        [[alpha(d), sigma[d], sigma_inv[d]] for d in range(m.dart_count)]))
 
     inherited: dict[Edge, Edge] = {
         m.edge_endpoints(i): (2 * i, 2 * i + 1)

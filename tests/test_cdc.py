@@ -243,7 +243,7 @@ def test_dart_search_is_label_independent(name, seed):
                          for c in oracle.orientable_covers}
 
 
-def test_dart_search_node_counts():
+def test_transition_search_node_counts():
     # node counts are deterministic; the dart search this replaced took
     # 84,973 nodes on wheel:6 and 20,790 on K4^t in sorted edge order
     # without its reversal cut
@@ -391,7 +391,7 @@ def test_transition_search_builds_each_circuit_once(name, distinct):
     assert len(set(arcs)) == len({id(p) for p in arcs}) < len(arcs)
 
 
-def test_rotation_search_node_counts():
+def test_transition_search_node_counts_on_cubic_hosts():
     # the dart search took 73,786 nodes on prism^t and 13,220,465 on
     # cube^t; a chain check that looks forwards only takes 1.7 million
     # on the 20-stack dual.  On cubic hosts the transition search counts
@@ -411,7 +411,7 @@ def test_rotation_search_node_counts():
     assert dual.nodes <= 20_000
 
 
-def test_rotation_search_does_not_recurse():
+def test_transition_search_does_not_recurse():
     # prism(600) has 1,200 vertices, far past the recursion limit in
     # depth; wheel(300) has 300 passages at the hub, inside which the
     # deadline must still be polled

@@ -459,6 +459,40 @@ def test_json_top_level_must_be_object(tmp_path, capsys, argv, payload):
     assert_one_line_usage_error(code, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["show", "@{path}"],
+    ["apollonian", "check", "{path}"],
+    ["census", "--workers", "1", "--corpus", "@{path}"],
+    # two entries, so the default pool size can exceed one
+    ["census", "--corpus", "k4", "@{path}"],
+], ids=["show", "apollonian-check", "census-serial", "census-default"])
+@pytest.mark.parametrize("rotation", [
+    # the ascending K4 closes up on the torus
+    {1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4], 4: [1, 2, 3]},
+    {1: [1, 2, 3], 2: [1, 3], 3: [1, 2]},
+], ids=["toroidal-k4", "loop"])
+def test_malformed_map_files_are_usage_errors(tmp_path, capsys, argv,
+                                              rotation):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"format": MAP_FORMAT, "vertices": [
+        {"id": v, "rotation": row} for v, row in rotation.items()]}))
+    code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["augment", "k4", "--face", "99"],
+    ["augment", "k4", "--face", "-1"],
+    ["truncate", "k4", "--vertex", "99"],
+])
+def test_out_of_range_surgery_sites_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_usage_error(code, err)
+    assert f"{argv[-1]} not in k4" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("body", [
     {"circuits": [[1]]},
     {"circuits": [[[1, 2, 3]]]},

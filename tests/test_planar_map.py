@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdclab.corpus import cube, k4, octahedron, prism, wheel
+from cdclab.apollonian import generate_apollonian
+from cdclab.corpus import (
+    cube,
+    default_census_corpus,
+    k4,
+    octahedron,
+    prism,
+    select,
+    wheel,
+)
 from cdclab.errors import (
     Disconnected,
     NonPlanarEmbedding,
@@ -24,6 +33,12 @@ from cdclab.planar_map import (
     is_3_connected,
     mirror,
     underlying_graph,
+)
+from cdclab.surgery import (
+    augment_face,
+    complete_augmentation,
+    complete_truncation,
+    truncate_vertex,
 )
 
 from conftest import apollonian_from_draws, corpus_maps
@@ -76,28 +91,73 @@ def test_mirror_of_k4_is_planar():
     assert mirrored.euler_genus() == 0
 
 
-def test_with_labels_matches_the_full_constructor():
-    # a relabelled copy keeps the validated slots and checks only the
-    # labels, the toroidal K4 included
-    toroidal = from_rotation({1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4],
-                              4: [1, 2, 3]}, require_planar=False)
-    for m in [k4(), cube(), wheel(5), toroidal]:
-        before = m.labels
-        labels = [10 * v + 3 for v in reversed(range(m.vertex_count))]
-        full = PlanarMap(m.sigma, m.vertex_of, labels, require_planar=False)
-        copy = m.with_labels(labels)
-        assert copy == full and copy.labels == tuple(labels)
-        assert copy.faces == full.faces
-        assert copy.euler_genus() == full.euler_genus()
-        assert copy.rotation_lists() == full.rotation_lists()
-        assert m.labels == before
-        for bad in (labels[1:], labels[:-1] + labels[:1]):
+TOROIDAL_K7 = {i: [(i + k) % 7 for k in (1, 3, 2, 6, 4, 5)]
+               for i in range(7)}
+
+
+def test_dual_of_a_toroidal_map_is_refused():
+    # the toroidal K7 has a simple dual, so only the genus check stops it
+    m = from_rotation(TOROIDAL_K7, require_planar=False)
+    assert m.euler_genus() == 1
+    faces = [{m.face_of_dart(d), m.face_of_dart(d ^ 1)}
+             for d in range(0, m.dart_count, 2)]
+    assert all(len(pair) == 2 for pair in faces)
+    assert len({frozenset(pair) for pair in faces}) == m.edge_count
+    with pytest.raises(NonPlanarEmbedding,
+                       match="rotation system has Euler genus 1, not 0"):
+        dualize(m)
+
+
+def _derived_maps():
+    """Every kind of map the library derives from a validated one:
+    stacked networks, duals, mirrors and surgery outputs."""
+    corpus = [select(name) for name in default_census_corpus()]
+    stacked = [generate_apollonian(k, seed=s)
+               for k in (0, 1, 2, 5, 20, 100) for s in range(10)]
+    maps = corpus + stacked + [dualize(m) for m in stacked] + \
+        [mirror(m) for m in stacked]
+    for host in corpus:
+        maps += [complete_truncation(host)[0], complete_augmentation(host)[0]]
+        maps += [augment_face(host, f)[0] for f in range(host.face_count)]
+        maps += [truncate_vertex(host, v)[0]
+                 for v in range(host.vertex_count)]
+    return maps
+
+
+def _assert_same_as_validated(m, *, planar=True):
+    full = PlanarMap(m.sigma, m.vertex_of, m.labels, require_planar=planar)
+    assert (m.sigma, m.vertex_of, m.labels) == \
+        (full.sigma, full.vertex_of, full.labels)
+    assert m.faces == full.faces
+    assert [m.darts_of_vertex(v) for v in range(m.vertex_count)] == \
+        [full.darts_of_vertex(v) for v in range(full.vertex_count)]
+
+
+def test_derived_maps_equal_their_validated_rebuilds():
+    # derived maps skip validation; the full constructor must accept
+    # each of them and agree on every slot, faces included
+    for m in _derived_maps():
+        _assert_same_as_validated(m)
+    for rotation in (TOROIDAL_K7, {1: [2, 3, 4], 2: [1, 3, 4],
+                                   3: [1, 2, 4], 4: [1, 2, 3]}):
+        m = from_rotation(rotation, require_planar=False)
+        flipped = mirror(m)
+        assert flipped.euler_genus() == 1
+        assert [flipped.sigma[e] for e in m.sigma] == list(range(m.dart_count))
+        _assert_same_as_validated(flipped, planar=False)
+
+
+def test_derived_maps_check_their_labels():
+    m = generate_apollonian(3, seed=0)
+    labels = [10 * v + 3 for v in reversed(range(m.vertex_count))]
+    relabelled = PlanarMap._derived(m.sigma, m.vertex_of, labels)
+    assert relabelled.labels == tuple(labels)
+    _assert_same_as_validated(relabelled)
+    for bad in (labels[1:], labels[:-1] + labels[:1]):
+        for build in (PlanarMap._derived, PlanarMap):
             with pytest.raises(OddEulerDefect,
                                match="labels must name each vertex once"):
-                m.with_labels(bad)
-            with pytest.raises(OddEulerDefect,
-                               match="labels must name each vertex once"):
-                PlanarMap(m.sigma, m.vertex_of, bad, require_planar=False)
+                build(m.sigma, m.vertex_of, bad)
 
 
 def test_loop_is_rejected():
