@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cache
+from heapq import heapify, heappop, heappush
 from random import Random
 from typing import Sequence
 
@@ -101,18 +102,6 @@ def apollonian_dual(stacks: Sequence[int] | int, *,
     return dualize(generate_apollonian(stacks, seed=seed))
 
 
-def _reduce_step(adj: dict[int, set[int]], order: Sequence[int]) -> int | None:
-    """Find a removable degree-3 vertex with mutually adjacent neighbors."""
-    for v in order:
-        nbrs = adj[v]
-        if len(nbrs) != 3:
-            continue
-        a, b, c = nbrs
-        if b in adj[a] and c in adj[a] and c in adj[b]:
-            return v
-    return None
-
-
 def _unstack(g: SimpleGraph | PlanarMap, rng: Random | None = None
              ) -> list[tuple[int, int, int]] | None:
     """Unstack ``g`` down to K4: the sorted neighbourhood of each removed
@@ -120,27 +109,46 @@ def _unstack(g: SimpleGraph | PlanarMap, rng: Random | None = None
 
     Each neighbourhood is the triangle its vertex was stacked into, so
     for an Apollonian network they are exactly its separating triangles.
+    A vertex is removable when it has degree 3 and its neighbours are
+    mutually adjacent.  Unstacking only deletes vertices, so degrees only
+    fall, and a vertex of degree 3 stays removable, or not, until one of
+    its neighbours goes.  A min-heap therefore holds the removable
+    vertices, each pushed when it reaches degree 3, and every step pops
+    the least one (the least in a random order when ``rng`` is given),
+    skipping those that have lost a neighbour since.  Removing a vertex
+    whose neighbours form a triangle never empties or splits a
+    component, so a disconnected graph never reduces to K4.
     """
     if isinstance(g, PlanarMap):
         g = underlying_graph(g)
-    if not g.is_connected():
-        return None
-    adj = {v: set(nbrs) for v, nbrs in g.adjacency.items()}
+    adj = [set(g.adjacency[v]) for v in range(g.n)]
+    rank = list(range(g.n))
+    if rng is not None:
+        rng.shuffle(rank)
+
+    def removable(v: int) -> bool:
+        if len(adj[v]) != 3:
+            return False
+        a, b, c = adj[v]
+        return b in adj[a] and c in adj[a] and c in adj[b]
+
+    heap = [(rank[v], v) for v in range(g.n) if removable(v)]
+    heapify(heap)
     removed: list[tuple[int, int, int]] = []
-    while len(adj) > 4:
-        order = sorted(adj)
-        if rng is not None:
-            rng.shuffle(order)
-        v = _reduce_step(adj, order)
-        if v is None:
-            return None
-        removed.append(tuple(sorted(adj[v])))
-        for u in adj[v]:
+    left, edges = g.n, len(g.edges)
+    while left > 4 and heap:
+        v = heappop(heap)[1]
+        nbrs = adj[v]
+        if len(nbrs) != 3:
+            continue
+        removed.append(tuple(sorted(nbrs)))
+        left, edges = left - 1, edges - 3
+        for u in nbrs:
             adj[u].discard(v)
-        del adj[v]
-    if len(adj) == 4 and all(len(nbrs) == 3 for nbrs in adj.values()):
-        return removed
-    return None
+            if removable(u):
+                heappush(heap, (rank[u], u))
+    # K4 is the only simple graph with 4 vertices and 6 edges.
+    return removed if (left, edges) == (4, 6) else None
 
 
 def is_apollonian(g: SimpleGraph | PlanarMap,
@@ -230,11 +238,8 @@ def check_edge_classification(
         raise NotApollonian("edge classification is stated for "
                             "Apollonian networks")
     covered = {e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))}
-    entries = []
-    for u, v in sorted(g.edges):
-        entries.append(EdgeClass(
-            edge=(u, v),
-            degree_three=g.degree(u) == 3 or g.degree(v) == 3,
-            in_separating_triangle=(u, v) in covered,
-        ))
-    return ClassificationReport(tuple(entries))
+    cubic = {v for v, nbrs in g.adjacency.items() if len(nbrs) == 3}
+    return ClassificationReport(tuple(
+        EdgeClass(edge=(u, v), degree_three=u in cubic or v in cubic,
+                  in_separating_triangle=(u, v) in covered)
+        for u, v in sorted(g.edges)))

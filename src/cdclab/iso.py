@@ -3,10 +3,13 @@
 Map codes relabel darts breadth-first from a (start dart, orientation)
 pair and keep the lexicographic minimum over the starts at vertices of
 minimum degree (every start when that degree exceeds 3), so two maps
-get equal codes iff they are isomorphic up to reflection.  Graph codes
-keep the least adjacency bitstring over the leaves of a colour
-refinement and individualisation search (format ``G2``; with no
-automorphism pruning, a node cap bounds highly symmetric inputs).
+get equal codes iff they are isomorphic up to reflection.  The starts
+advance in lockstep, row by row, and each drops out at its first row
+above the least; the code (format ``M1``) is the full run of the last
+one left.  Graph codes keep the least adjacency bitstring over the
+leaves of a colour refinement and individualisation search (format
+``G2``; with no automorphism pruning, a node cap bounds highly
+symmetric inputs).
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ _MAP_CODE_VERSION = b"M1"
 _GRAPH_CODE_VERSION = b"G2"
 
 
-def _bfs_rows(perm: tuple[int, ...], start: int,
-              best: list[tuple[int, int]] | None) -> list[tuple[int, int]] | None:
+def _bfs_rows(perm: tuple[int, ...], start: int) -> list[tuple[int, int]]:
     """Dart relabeling rows for one (orientation, start) run.
 
     Row ``j`` is ``(label of perm(d), label of alpha(d))`` for the dart
-    ``d`` labeled ``j``.  When ``best`` is given, the run aborts and
-    returns None as soon as it is lexicographically worse.
+    ``d`` labeled ``j``.
     """
     n = len(perm)
     label = [-1] * n
@@ -43,7 +44,6 @@ def _bfs_rows(perm: tuple[int, ...], start: int,
     order[0] = start
     assigned = 1
     rows: list[tuple[int, int]] = []
-    ahead = best is None
     for j in range(n):
         d = order[j]
         nxt, opp = perm[d], d ^ 1
@@ -55,24 +55,54 @@ def _bfs_rows(perm: tuple[int, ...], start: int,
             label[opp] = assigned
             order[assigned] = opp
             assigned += 1
-        row = (label[nxt], label[opp])
-        if not ahead:
-            ref = best[j]
-            if row > ref:
-                return None
-            if row < ref:
-                ahead = True
-        rows.append(row)
+        rows.append((label[nxt], label[opp]))
     return rows
+
+
+def _least_run(runs: list[tuple[tuple[int, ...], int]]
+               ) -> tuple[tuple[int, ...], int]:
+    """A run whose rows are least, found by advancing every run one row
+    at a time and dropping each at the first row above that row's
+    minimum.  Runs that tie to the end give the same rows."""
+    n = len(runs[0][0])
+    # Per run: perm, labels so far, darts in label order.
+    live = [(perm, {start: 0}, [start]) for perm, start in runs]
+    for j in range(n):
+        if len(live) == 1:
+            break
+        low = n * n     # above every row (a, b), read as a * n + b
+        for run in live:
+            perm, label, order = run
+            d = order[j]
+            e = perm[d]
+            a = label.get(e)
+            if a is None:
+                a = label[e] = len(order)
+                order.append(e)
+            e = d ^ 1
+            b = label.get(e)
+            if b is None:
+                b = label[e] = len(order)
+                order.append(e)
+            row = a * n + b
+            if row < low:
+                low, keep = row, [run]
+            elif row == low:
+                keep.append(run)
+        live = keep
+    perm, _, order = live[0]
+    return perm, order[0]
 
 
 def map_canonical_code(m: PlanarMap) -> bytes:
     """Invariant byte code: equal codes iff maps are isomorphic.
 
-    Minimizes over both global orientations, so mirror images compare
-    equal, and over the start darts at vertices of the minimum degree
-    when that degree is at most 3, else over every start dart.  Either
-    way the code is the minimum over every start.
+    The code (``M1``) is the least run of :func:`_bfs_rows` over both
+    global orientations, so mirror images compare equal, and over the
+    start darts at vertices of the minimum degree when that degree is
+    at most 3, else over every start dart.  Either way it is the least
+    run over every start.  The candidate runs advance in lockstep, and
+    only the last one left is built in full.
     """
     sigma = m.sigma
     sigma_inv = [0] * m.dart_count
@@ -88,13 +118,9 @@ def map_canonical_code(m: PlanarMap) -> bytes:
     starts = range(m.dart_count) if low > 3 else [
         d for v, k in enumerate(degrees) if k == low
         for d in m.darts_of_vertex(v)]
-    best: list[tuple[int, int]] | None = None
-    for perm in (sigma, tuple(sigma_inv)):
-        for start in starts:
-            rows = _bfs_rows(perm, start, best)
-            if rows is not None and (best is None or rows < best):
-                best = rows
-    assert best is not None
+    best = _bfs_rows(*_least_run(
+        [(perm, start) for perm in (sigma, tuple(sigma_inv))
+         for start in starts]))
     payload = struct.pack(">I", m.dart_count)
     payload += b"".join(struct.pack(">HH", a, b) for a, b in best)
     return _MAP_CODE_VERSION + payload

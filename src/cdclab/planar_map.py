@@ -501,15 +501,60 @@ def _has_cut_vertex(g: SimpleGraph, banned: int) -> bool:
     return root_children > 1
 
 
+def _polyhedral(m: PlanarMap) -> bool:
+    """The face criterion for a plane map with at least 4 vertices.
+
+    The map is 3-connected iff every face boundary is a cycle and any
+    two faces share nothing, one vertex, or exactly the two ends of one
+    edge that lies on both boundaries (Mohar & Thomassen, *Graphs on
+    Surfaces*, 2001, §5.5, after Whitney).  In the radial graph, whose
+    nodes are the vertices and faces and whose edges are the corners,
+    each edge of the map is a face bounded by a 4-cycle (its two ends
+    and its two sides); the criterion says there are no other 4-cycles.
+    They are counted from their highest node in degree order, which
+    keeps the count linear in the size of a plane map (Chiba &
+    Nishizeki, 1985).
+    """
+    n = m.vertex_count
+    faces = m.faces
+    if any(len(set(f.boundary)) != len(f) for f in faces):
+        return False
+    face_of = m._face_of_dart
+    # Node v is vertex v, node n + f is face f.
+    radial = [[n + face_of[d] for d in darts] for darts in m._vertex_darts]
+    radial += [f.boundary for f in faces]
+    rank = [0] * len(radial)
+    for i, x in enumerate(sorted(range(len(radial)),
+                                 key=lambda x: len(radial[x]))):
+        rank[x] = i
+    cycles = 0
+    for x, nbrs in enumerate(radial):
+        top = rank[x]
+        paths: dict[int, int] = {}
+        for y in nbrs:
+            if rank[y] < top:
+                for z in radial[y]:
+                    if rank[z] < top:
+                        paths[z] = paths.get(z, 0) + 1
+        for k in paths.values():
+            cycles += k * (k - 1) // 2
+    return cycles == m.edge_count
+
+
 def is_3_connected(g: SimpleGraph | PlanarMap) -> bool:
     """Whether the graph survives deletion of any two vertices.
 
-    Raises :class:`TooSmall` below four vertices.  Works by checking,
-    for every vertex ``u``, that ``g - u`` is connected and free of
+    Raises :class:`TooSmall` below four vertices.  A plane map is
+    decided from its faces in time linear in the map
+    (:func:`_polyhedral`).  A :class:`SimpleGraph`, and a map of
+    positive genus, whose faces cannot decide it, are checked for
+    every vertex ``u``: ``g - u`` must be connected and free of
     articulation points, which is the same as testing every vertex
-    pair; one lowpoint DFS of ``g - u`` answers both.
+    pair, and one lowpoint DFS of ``g - u`` answers both.
     """
     if isinstance(g, PlanarMap):
+        if g.vertex_count >= 4 and g.euler_genus() == 0:
+            return _polyhedral(g)
         g = underlying_graph(g)
     if g.n < 4:
         raise TooSmall(f"3-connectivity needs at least 4 vertices, got {g.n}")

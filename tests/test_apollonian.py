@@ -216,3 +216,57 @@ def test_unstacking_reads_off_the_separating_triangles():
             for u, v in sorted(g.edges)]
         assert [(e.edge, e.degree_three, e.in_separating_triangle)
                 for e in check_edge_classification(g).entries] == reference
+
+
+def _relabel_graph(g: SimpleGraph, rng: random.Random) -> SimpleGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SimpleGraph(g.n, frozenset(
+        (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges))
+
+
+def _sorted_scan_unstack(g: SimpleGraph):
+    """Reference reducer: after a connectivity check, each step scans
+    the remaining vertices in sorted order and removes the first one of
+    degree 3 whose neighbours are mutually adjacent."""
+    if not g.is_connected():
+        return None
+    adj = {v: set(nbrs) for v, nbrs in g.adjacency.items()}
+    removed = []
+    while len(adj) > 4:
+        for v in sorted(adj):
+            nbrs = adj[v]
+            if len(nbrs) == 3:
+                a, b, c = nbrs
+                if b in adj[a] and c in adj[a] and c in adj[b]:
+                    break
+        else:
+            return None
+        removed.append(tuple(sorted(adj[v])))
+        for u in adj.pop(v):
+            adj[u].discard(v)
+    if len(adj) == 4 and all(len(nbrs) == 3 for nbrs in adj.values()):
+        return removed
+    return None
+
+
+def test_unstacking_removes_the_least_removable_vertex_first():
+    graphs = [underlying_graph(generate_apollonian(k, seed=s))
+              for k in (0, 1, 2, 5, 20, 100) for s in range(10)]
+    graphs.append(underlying_graph(_two_adjacent_stacks()))
+    # stacking numbers each vertex after its triangle; random ids do not
+    rng = random.Random(0)
+    graphs += [_relabel_graph(g, rng) for g in graphs]
+    for g in graphs:
+        assert _unstack(g) == _sorted_scan_unstack(g)
+    first = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    refused = [
+        SimpleGraph(8, frozenset(first + [(u + 4, v + 4) for u, v in first])),
+        SimpleGraph(5, frozenset(first)),
+        underlying_graph(octahedron()),
+        underlying_graph(select("wheel:5")),
+        SimpleGraph(4, frozenset()),
+    ]
+    for g in refused:
+        assert _unstack(g) is None
+        assert _sorted_scan_unstack(g) is None

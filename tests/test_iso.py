@@ -90,8 +90,8 @@ def _all_starts_code(m):
     best = None
     for perm in (m.sigma, tuple(sigma_inv)):
         for start in range(m.dart_count):
-            rows = iso._bfs_rows(perm, start, best)
-            if rows is not None and (best is None or rows < best):
+            rows = iso._bfs_rows(perm, start)
+            if best is None or rows < best:
                 best = rows
     return b"M1" + struct.pack(">I", m.dart_count) + \
         b"".join(struct.pack(">HH", a, b) for a, b in best)

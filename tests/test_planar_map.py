@@ -277,6 +277,50 @@ def test_is_3_connected_matches_pair_deletion_oracle():
 def test_is_3_connected_rejects_tiny_graphs():
     with pytest.raises(TooSmall):
         is_3_connected(SimpleGraph(3, frozenset([(0, 1), (0, 2), (1, 2)])))
+    with pytest.raises(TooSmall):
+        is_3_connected(from_rotation({0: [1, 2], 1: [2, 0], 2: [0, 1]}))
+
+
+def _without_edges(m: PlanarMap, edges) -> PlanarMap:
+    rows = m.rotation_lists()
+    for u, v in edges:
+        rows[u].remove(v)
+        rows[v].remove(u)
+    return from_rotation(dict(enumerate(rows)))
+
+
+def test_face_criterion_matches_the_lowpoint_search():
+    # stacked networks and their duals, every one-edge deletion of
+    # them, and every two-edge deletion of those with up to 8 vertices
+    hosts = set()
+    for k in range(8):
+        for s in range(6):
+            m = generate_apollonian(k, seed=s)
+            hosts |= {m, dualize(m)}
+    maps = set(hosts)
+    for m in hosts:
+        edges = m.edges()
+        maps |= {_without_edges(m, [e]) for e in edges}
+        if m.vertex_count <= 8:
+            maps |= {_without_edges(m, [e, f]) for i, e in enumerate(edges)
+                     for f in edges[i + 1:]}
+    # a triangle with a tail: its one face visits 1, 2 and 4 twice,
+    # yet the radial graph has as many 4-cycles as the map has edges
+    maps.add(from_rotation({0: [4], 1: [2, 4], 2: [1, 3, 5], 3: [2, 5],
+                            4: [0, 1], 5: [2, 3]}))
+    verdicts = [is_3_connected(m) for m in maps]
+    assert verdicts == [is_3_connected(underlying_graph(m)) for m in maps]
+    assert (len(maps), sum(verdicts)) == (4059, 750)
+
+
+def test_maps_of_positive_genus_fall_back_to_the_lowpoint_search():
+    # K4 on the torus: two faces, each passing every vertex twice, so
+    # the face criterion would call this 3-connected graph 2-connected
+    m = from_rotation({1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4],
+                       4: [1, 2, 3]}, require_planar=False)
+    assert any(len(set(f.boundary)) < len(f) for f in m.faces)
+    assert is_3_connected(m)
+    assert is_3_connected(from_rotation(TOROIDAL_K7, require_planar=False))
 
 
 def test_mirror_involution_and_genus():
