@@ -177,10 +177,6 @@ class TriangleSet:
     def separating(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(t.vertices for t in self.triangles if t.separating)
 
-    @property
-    def facial(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(t.vertices for t in self.triangles if not t.separating)
-
 
 def separating_triangles(g: SimpleGraph | PlanarMap) -> TriangleSet:
     """Classify every triangle by whether deleting it disconnects ``g``."""

@@ -514,7 +514,6 @@ def validate_oriented_cover(g: SimpleGraph, cover: CircuitDoubleCover,
 class GenusReport:
     """Euler bookkeeping for the surface a cover describes."""
 
-    circuits: int
     chi: int
     genus: int
 
@@ -536,7 +535,7 @@ def genus(g: SimpleGraph, cover: CircuitDoubleCover) -> GenusReport:
     chi = g.n - len(g.edges) + cover.k
     if chi % 2:
         raise OddCharacteristic(f"chi = {chi} is odd")
-    return GenusReport(cover.k, chi, (2 - chi) // 2)
+    return GenusReport(chi, (2 - chi) // 2)
 
 
 @dataclass(frozen=True)
@@ -553,7 +552,6 @@ class EnumerationResult:
 
     covers: tuple[CircuitDoubleCover, ...]
     complete: bool
-    orientable_only: bool
     elapsed: float
     nodes: int
     limit_reached: bool = False
@@ -1014,7 +1012,6 @@ def enumerate_covers(
     return EnumerationResult(
         covers=tuple(covers),
         complete=not (deadline.hit or limit_reached),
-        orientable_only=orientable_only,
         elapsed=time.monotonic() - start,
         nodes=deadline.nodes,
         limit_reached=limit_reached,
@@ -1040,19 +1037,10 @@ class TranslationReport:
     oriented: bool
 
 
-def source_graph(corr: Correspondence) -> SimpleGraph:
-    """The truncation output graph recorded in a correspondence."""
-    edges = set(corr.inherited_edges.values()) | set(
-        corr.corner_edges.values())
-    n = 1 + max(max(e) for e in edges)
-    return SimpleGraph(n, frozenset(edges))
-
-
-def target_graph(corr: Correspondence) -> SimpleGraph:
-    """The truncation input graph recorded in a correspondence."""
-    edges = set(corr.inherited_edges.keys())
-    n = 1 + max(max(e) for e in edges)
-    return SimpleGraph(n, frozenset(edges))
+def _graph_of(edges: Iterable[Edge]) -> SimpleGraph:
+    """The graph on ``0 .. max id`` with exactly these edges."""
+    edges = frozenset(edges)
+    return SimpleGraph(1 + max(max(e) for e in edges), edges)
 
 
 def translate_cover(
@@ -1072,8 +1060,9 @@ def translate_cover(
     if corr.kind != "truncate":
         raise CorrespondenceMismatch(
             f"expected a truncation correspondence, got kind={corr.kind!r}")
-    g = target_graph(corr)
-    gt = source_graph(corr)
+    g = _graph_of(corr.inherited_edges)
+    gt = _graph_of(chain(corr.inherited_edges.values(),
+                         corr.corner_edges.values()))
     covered = {w for cycle in corr.vertex_faces.values() for w in cycle}
     if covered != set(range(gt.n)):
         raise CorrespondenceMismatch(

@@ -44,7 +44,7 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
                                   max_edges=max_edges,
                                   time_budget=time_budget, limit=2)
     except EdgeLimitExceeded:
-        result = EnumerationResult((), False, True, 0.0, 0)
+        result = EnumerationResult((), False, 0.0, 0)
     dual_apollonian = is_apollonian(underlying_graph(dualize(m)))
     count = len(result.covers)
     if not (result.complete or result.limit_reached):

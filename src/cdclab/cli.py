@@ -50,6 +50,12 @@ from .io_formats import (
 )
 from .iso import verify_square
 from .planar_map import PlanarMap, dualize, underlying_graph
+from .surgery import (
+    augment_face,
+    complete_augmentation,
+    complete_truncation,
+    truncate_vertex,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -59,11 +65,10 @@ EXIT_BUDGET = 3
 
 def _emit(ns: argparse.Namespace, obj: Any) -> None:
     text = dumps(obj)
-    out = getattr(ns, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {ns.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
@@ -90,8 +95,6 @@ def _cmd_dual(ns: argparse.Namespace) -> int:
 
 
 def _cmd_truncate(ns: argparse.Namespace) -> int:
-    from .surgery import complete_truncation, truncate_vertex
-
     m = select(ns.graph)
     if ns.vertex is not None:
         try:
@@ -110,8 +113,6 @@ def _cmd_truncate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_augment(ns: argparse.Namespace) -> int:
-    from .surgery import augment_face, complete_augmentation
-
     m = select(ns.graph)
     if ns.face is not None:
         if not 0 <= ns.face < m.face_count:
@@ -226,8 +227,6 @@ def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_cdc_translate(ns: argparse.Namespace) -> int:
-    from .surgery import complete_truncation
-
     m = select(ns.graph)
     mt, corr = complete_truncation(m)
     cover = read_cover(ns.cover, mt)

@@ -30,6 +30,13 @@ def _expect_format(data: Any, wanted: str) -> None:
         raise BadSelector(f"expected format {wanted!r}, got {got!r}")
 
 
+def _vertex_id(x: Any) -> int:
+    """A vertex id is a JSON integer: not a bool, a float or a string."""
+    if type(x) is not int:
+        raise TypeError(f"vertex id {x!r} is not an integer")
+    return x
+
+
 def map_to_json(m: PlanarMap) -> dict[str, Any]:
     rows = []
     rotations = m.rotation_lists()
@@ -55,8 +62,9 @@ def map_from_json(data: Any) -> PlanarMap:
     adjacency: dict[int, list[int]] = {}
     for row in rows:
         try:
-            adjacency[int(row["id"])] = [int(x) for x in row["rotation"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            adjacency[_vertex_id(row["id"])] = [
+                _vertex_id(x) for x in row["rotation"]]
+        except (KeyError, TypeError) as exc:
             raise BadSelector(f"bad vertex row {row!r}") from exc
     if len(adjacency) != len(rows):
         raise BadSelector("duplicate vertex ids")
@@ -66,42 +74,35 @@ def map_from_json(data: Any) -> PlanarMap:
         raise BadSelector(f"planar-map/v1: {exc}") from exc
 
 
-def _index_of(m: PlanarMap) -> dict[int, int]:
-    return {label: i for i, label in enumerate(m.labels)}
-
-
 def cover_to_json(cover: CircuitDoubleCover, host: str,
-                  m: PlanarMap | None = None) -> dict[str, Any]:
-    """Serialize a cover, converting internal ids to host labels."""
-    lab = (lambda v: v) if m is None else (lambda v: m.labels[v])
+                  m: PlanarMap) -> dict[str, Any]:
+    """Serialize a cover, converting internal ids to the labels of ``m``."""
+    lab = m.labels
     out: dict[str, Any] = {
         "format": COVER_FORMAT,
         "host": host,
         "circuits": [
-            sorted([lab(u), lab(v)] for u, v in c) for c in cover.circuits
+            sorted([lab[u], lab[v]] for u, v in c) for c in cover.circuits
         ],
     }
     if cover.orientation is not None:
         out["orientation"] = [
-            sorted([lab(u), lab(v)] for u, v in part)
+            sorted([lab[u], lab[v]] for u, v in part)
             for part in cover.orientation
         ]
     return out
 
 
-def cover_from_json(data: Any,
-                    m: PlanarMap | None = None) -> CircuitDoubleCover:
-    """Parse a cover, converting host labels to internal ids."""
+def cover_from_json(data: Any, m: PlanarMap) -> CircuitDoubleCover:
+    """Parse a cover, converting the labels of ``m`` to internal ids."""
     _expect_format(data, COVER_FORMAT)
     circuits = data.get("circuits")
     if not isinstance(circuits, list):
         raise BadSelector("cover/v1 needs a 'circuits' list")
-    idx = None if m is None else _index_of(m)
+    idx = {label: i for i, label in enumerate(m.labels)}
 
     def vid(x: Any) -> int:
-        x = int(x)
-        if idx is None:
-            return x
+        x = _vertex_id(x)
         if x not in idx:
             raise UnknownEdge(f"vertex {x} not in host map")
         return idx[x]
@@ -109,7 +110,7 @@ def cover_from_json(data: Any,
     def pairs(rows: Any) -> list[list[tuple[int, int]]]:
         try:
             return [[(vid(u), vid(v)) for u, v in row] for row in rows]
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise BadSelector(
                 f"cover/v1 rows must be lists of [u, v] pairs: {exc}") from exc
 
@@ -124,20 +125,18 @@ def cover_from_json(data: Any,
         raise BadSelector(f"cover/v1: {exc}") from exc
 
 
-def _edge_out(e: Edge, lab) -> list[int]:
-    return sorted([lab(e[0]), lab(e[1])])
+def _edge_out(e: Edge, lab: tuple[int, ...]) -> list[int]:
+    return sorted([lab[e[0]], lab[e[1]]])
 
 
-def correspondence_to_json(corr: Correspondence,
-                           source: PlanarMap | None = None,
-                           result: PlanarMap | None = None) -> dict[str, Any]:
+def correspondence_to_json(corr: Correspondence, source: PlanarMap,
+                           result: PlanarMap) -> dict[str, Any]:
     """Serialize the four tables, keyed by source-map labels.
 
     ``source`` labels the modified map's side of each table,
-    ``result`` the produced map's side; identity when omitted.
+    ``result`` the produced map's side.
     """
-    slab = (lambda v: v) if source is None else (lambda v: source.labels[v])
-    rlab = (lambda v: v) if result is None else (lambda v: result.labels[v])
+    slab, rlab = source.labels, result.labels
     return {
         "format": CORRESPONDENCE_FORMAT,
         "kind": corr.kind,
@@ -145,16 +144,16 @@ def correspondence_to_json(corr: Correspondence,
             [_edge_out(e, slab), _edge_out(img, rlab)]
             for e, img in corr.inherited_edges.items()),
         "corner_edges": sorted(
-            [[slab(v), _edge_out(e, slab)], _edge_out(img, rlab)]
+            [[slab[v], _edge_out(e, slab)], _edge_out(img, rlab)]
             for (v, e), img in corr.corner_edges.items()),
         "vertex_faces": sorted(
-            [slab(v), [rlab(w) for w in cycle]]
+            [slab[v], [rlab[w] for w in cycle]]
             for v, cycle in corr.vertex_faces.items()),
         "face_faces": sorted(
-            [f, rlab(img) if corr.kind == "augment" else img]
+            [f, rlab[img] if corr.kind == "augment" else img]
             for f, img in corr.face_faces.items()),
         "vertex_map": sorted(
-            [slab(v), rlab(w)] for v, w in corr.vertex_map.items()),
+            [slab[v], rlab[w]] for v, w in corr.vertex_map.items()),
     }
 
 
@@ -193,6 +192,6 @@ def read_map(path: str) -> PlanarMap:
     return map_from_json(load_path(path))
 
 
-def read_cover(path: str, m: PlanarMap | None = None) -> CircuitDoubleCover:
-    """Load a cover/v1 file, resolving labels against ``m`` if given."""
+def read_cover(path: str, m: PlanarMap) -> CircuitDoubleCover:
+    """Load a cover/v1 file, resolving labels against ``m``."""
     return cover_from_json(load_path(path), m)

@@ -134,6 +134,7 @@ def maps_isomorphic(m1: PlanarMap, m2: PlanarMap) -> bool:
 
 
 _NODE_CAP = 100_000
+_MAX_N = 40
 
 
 def _refine(adj: dict[int, set[int]],
@@ -157,17 +158,17 @@ def _refine(adj: dict[int, set[int]],
         cells = split
 
 
-def graph_canonical_code(g: SimpleGraph, *, max_n: int = 40) -> bytes:
+def graph_canonical_code(g: SimpleGraph) -> bytes:
     """Exact canonical form of a small abstract graph.
 
     Refines the unit partition, individualises each vertex of the first
     smallest non-singleton cell and recurses (McKay & Piperno, 2014);
     the code (G2) is the least lower-triangular adjacency bitstring over
     the discrete leaves.  No automorphism pruning: raises TooLarge past
-    ``max_n`` vertices or ``_NODE_CAP`` nodes (K8 takes 69,281).
+    ``_MAX_N`` vertices or ``_NODE_CAP`` nodes (K8 takes 69,281).
     """
-    if g.n > max_n:
-        raise TooLarge(f"graph code capped at {max_n} vertices, got {g.n}")
+    if g.n > _MAX_N:
+        raise TooLarge(f"graph code capped at {_MAX_N} vertices, got {g.n}")
     adj, size = g.adjacency, g.n * (g.n - 1) // 2
     stack = [_refine(adj, [tuple(range(g.n))] if g.n else [])]
     nodes, best = 1, 1 << size     # above every code of ``size`` bits
@@ -191,16 +192,14 @@ def graph_canonical_code(g: SimpleGraph, *, max_n: int = 40) -> bytes:
         best.to_bytes((size + 7) // 8, "big")
 
 
-def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph, *,
-                      max_n: int = 40) -> bool:
+def graphs_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:
     """Whether two abstract graphs admit an edge-preserving bijection."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
     if sorted(g1.degree(v) for v in range(g1.n)) != \
             sorted(g2.degree(v) for v in range(g2.n)):
         return False
-    return graph_canonical_code(g1, max_n=max_n) == \
-        graph_canonical_code(g2, max_n=max_n)
+    return graph_canonical_code(g1) == graph_canonical_code(g2)
 
 
 @dataclass(frozen=True)

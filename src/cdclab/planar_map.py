@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -294,17 +295,13 @@ class SimpleGraph:
             if not (0 <= u < v < self.n):
                 raise NotSimple(f"bad edge ({u}, {v}) for n={self.n}")
 
-    @property
+    @cached_property
     def adjacency(self) -> dict[int, set[int]]:
-        try:
-            return self._adj  # type: ignore[attr-defined]
-        except AttributeError:
-            adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            object.__setattr__(self, "_adj", adj)
-            return adj
+        adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -400,11 +397,6 @@ def _dart_numbering(
             vertex_of[d] = v
             sigma[d] = dart[v, nxt]
     return sigma, vertex_of
-
-
-def euler_genus(m: PlanarMap) -> int:
-    """Euler genus of the rotation system (0 means planar)."""
-    return m.euler_genus()
 
 
 def mirror(m: PlanarMap) -> PlanarMap:

@@ -197,10 +197,6 @@ def _complete_truncation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:
             corner[(v, e)] = normalize_edge(dj, cycle[(j + 1) % len(cycle)])
 
     face_sets = {frozenset(f.boundary): f.index for f in out.faces}
-    if len(face_sets) != out.face_count:
-        raise NotThreeConnected(
-            "face vertex sets of the truncation collide; "
-            "the host is not 3-connected")
     face_faces: dict[int, int] = {}
     for face in m.faces:
         support = frozenset(face.darts) | frozenset(

@@ -19,6 +19,7 @@ from cdclab.apollonian import (
 from cdclab.cdc import (
     _Deadline,
     _enumerate_all,
+    _enumerate_transitions,
     _orientation,
     CircuitDoubleCover,
     CircuitReport,
@@ -810,6 +811,25 @@ def test_oracle_builds_each_cover_once(monkeypatch):
         assert not deadline.hit, name
         assert set(yielded.values()) == {1}, name
         assert built == yielded, name
+
+
+def test_transition_search_yields_each_cover_once():
+    # the store drops a repeated form without a trace, so the search
+    # itself is checked: one yield per canonical form, no more
+    hosts = [(name, underlying_graph(select(name))) for name in [
+        "k4", "prism", "cube", "octahedron", "wheel:4", "wheel:5",
+        "wheel:6", "wheel:7", "apollonian-dual:0,1"]]
+    hosts.append(("relabelled wheel:6",
+                  _relabel(underlying_graph(wheel(6)), 5)[0]))
+    for name, g in hosts:
+        deadline = _Deadline(None)
+        yielded = Counter()
+        for key, cover in _enumerate_transitions(g, deadline):
+            assert key == cover.canonical_form(), name
+            yielded[key] += 1
+        assert not deadline.hit, name
+        assert set(yielded.values()) == {1}, name
+        assert len(yielded) == len(enumerate_covers(g).covers), name
 
 
 def test_enumerate_covers_keeps_each_form_once_in_order(monkeypatch):

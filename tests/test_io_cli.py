@@ -470,7 +470,14 @@ def test_json_top_level_must_be_object(tmp_path, capsys, argv, payload):
     # the ascending K4 closes up on the torus
     {1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4], 4: [1, 2, 3]},
     {1: [1, 2, 3], 2: [1, 3], 3: [1, 2]},
-], ids=["toroidal-k4", "loop"])
+    # a planar K4 once each id is truncated to an integer; ids must be
+    # JSON integers, so each of these is refused
+    {1.5: [2, 3, 4], 2: [1.9, 4, 3], 3: [1, 2, 4], 4: [1, 3, 2]},
+    {1: [2.0, 3, 4], 2: [1, 4, 3], 3: [1, 2, 4], 4: [1, 3, 2]},
+    {True: [2, 3, 4], 2: [1, 4, 3], 3: [1, 2, 4], 4: [1, 3, 2]},
+    {1: [2, 3, 4], "2": [1, 4, 3], 3: [1, 2, 4], 4: [1, 3, 2]},
+], ids=["toroidal-k4", "loop", "float-id", "integral-float-neighbour",
+        "bool-id", "string-id"])
 def test_malformed_map_files_are_usage_errors(tmp_path, capsys, argv,
                                               rotation):
     path = tmp_path / "map.json"
@@ -501,6 +508,13 @@ def test_out_of_range_surgery_sites_are_usage_errors(capsys, argv):
     # two circuits, one orientation part
     {"circuits": [[[1, 2], [2, 3], [1, 3]], [[1, 2], [2, 4], [1, 4]]],
      "orientation": [[[1, 2], [2, 3], [3, 1]]]},
+    # vertex ids are JSON integers: no float, bool or string
+    {"circuits": [[[1.2, 2]]]},
+    {"circuits": [[[1, 2.0]]]},
+    {"circuits": [[[True, 2]]]},
+    {"circuits": [[["1", 2]]]},
+    {"circuits": [[[1, 2], [2, 3], [1, 3]]],
+     "orientation": [[[1, 2], [2, 3], [3, 1.0]]]},
 ])
 def test_malformed_cover_rows_are_usage_errors(tmp_path, capsys, body):
     path = tmp_path / "cover.json"

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdclab.apollonian import generate_apollonian
-from cdclab.corpus import cube, k4, prism, select, wheel
+from cdclab.corpus import (
+    cube,
+    default_census_corpus,
+    k4,
+    prism,
+    select,
+    wheel,
+)
 from cdclab.errors import NotThreeConnected
 from cdclab.io_formats import correspondence_to_json, dumps
 from cdclab.iso import maps_isomorphic
@@ -118,6 +125,28 @@ def test_truncation_face_faces_points_at_surviving_faces():
     vertex_face_indices = set(range(out.face_count)) - set(
         corr.face_faces.values())
     assert len(vertex_face_indices) == m.vertex_count
+
+
+def test_truncation_faces_have_distinct_vertex_sets():
+    # two faces of a 3-connected plane map share at most one edge, so
+    # the truncation's face vertex sets differ and the faces of the
+    # host's faces are found by their sets, apart from the corner faces
+    hosts = [select(name) for name in default_census_corpus()]
+    for k in (1, 5, 20):
+        for seed in range(3):
+            hosts.append(generate_apollonian(k, seed=seed))
+            hosts.append(dualize(hosts[-1]))
+    for m in hosts:
+        out, corr = complete_truncation(m)
+        face_sets = [frozenset(f.boundary) for f in out.faces]
+        assert len(set(face_sets)) == out.face_count == \
+            m.vertex_count + m.face_count
+        images = list(corr.face_faces.values())
+        assert len(set(images)) == len(images) == m.face_count
+        corner_faces = {face_sets.index(frozenset(cycle))
+                        for cycle in corr.vertex_faces.values()}
+        assert len(corner_faces) == m.vertex_count
+        assert not corner_faces & set(images)
 
 
 def test_sequential_truncation_order_does_not_matter():
