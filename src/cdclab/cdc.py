@@ -16,13 +16,16 @@ deduplicates, orders and limits the covers they yield.
 Exhaustive cover lists hold few distinct circuits (wheel:7's 1,751
 orientable covers hold 9,045 circuits, 127 of them distinct), so each
 circuit is worked out once: both searches build one object per
-distinct circuit (the transition search also per arc set), and the
-cover checks read a circuit's report, trails and orientation parts
-from bounded memos.  Orientability works on trails: a circuit's
+distinct circuit (the transition search also per arc set), and both
+cover checks read a circuit's facts (its report, its host-edge
+bitmask and its trails) from one bounded memo, and its orientation
+parts from another.  The double-cover law is decided by mask algebra
+on those bitmasks.  Orientability works on trails: a circuit's
 degree-2 vertices chain its edges into trails, each with one free
 direction bit, and the trails of a cover join into components through
-the edges they share, by bitmask, with a search left only at vertices
-of degree >= 4.
+the edges they share, by bitmask.  A search is left only for trails
+between two different vertices of degree >= 4 in their circuit; a
+wheel has none.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CorrespondenceMismatch,
@@ -153,9 +156,8 @@ def _check_known_edges(g: SimpleGraph, edges: Iterable[Edge]) -> list[str]:
             for e in sorted(set(edges)) if e not in g.edges]
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _circuit_report(circuit: frozenset[Edge]) -> CircuitReport:
-    """Evenness and connectivity of a normalized edge set (memoised)."""
+    """Evenness and connectivity of a normalized edge set."""
     if not circuit:
         return CircuitReport(False, False, ("empty edge set",))
     adj = _adjacency(circuit)
@@ -171,6 +173,40 @@ def _circuit_report(circuit: frozenset[Edge]) -> CircuitReport:
     return CircuitReport(False, False, tuple(problems))
 
 
+@lru_cache(maxsize=16)
+def _edge_bits(edges: frozenset[Edge]) -> dict[Edge, int]:
+    """Each host edge's bit, the edges sorted (memoised; read only)."""
+    return {e: 1 << i for i, e in enumerate(sorted(edges))}
+
+
+class _Facts(NamedTuple):
+    """What the cover checks read of a circuit of a host."""
+
+    report: CircuitReport
+    mask: int       # the bits of its edges among the host's
+    trails: tuple   # these two as _trails gives them, both empty
+    wide: tuple     # unless the circuit is valid
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _facts(circuit: frozenset[Edge], edges: frozenset[Edge]
+           ) -> _Facts | None:
+    """The facts of a circuit of the host with edge set ``edges``, or
+    None when the circuit holds an edge the host lacks (memoised).
+    Both cover checks read them, so each distinct circuit is walked
+    once for both."""
+    if not circuit <= edges:
+        return None
+    report = _circuit_report(circuit)
+    bit = _edge_bits(edges)
+    mask = 0
+    for e in circuit:
+        mask |= bit[e]
+    if not report.valid:
+        return _Facts(report, mask, (), ())
+    return _Facts(report, mask, *_trails(circuit, bit))
+
+
 def validate_circuit(g: SimpleGraph, edges: Iterable[Sequence[int]]
                      ) -> CircuitReport:
     """Check that an edge set is an even connected subgraph.
@@ -180,9 +216,10 @@ def validate_circuit(g: SimpleGraph, edges: Iterable[Sequence[int]]
     an edge that is not a pair raises :class:`InvalidCover`.
     """
     circuit = _normalize_circuit(edges)
-    if not circuit <= g.edges:
+    facts = _facts(circuit, g.edges)
+    if facts is None:
         raise UnknownEdge("; ".join(_check_known_edges(g, circuit)))
-    return _circuit_report(circuit)
+    return facts.report
 
 
 def validate_cover(g: SimpleGraph,
@@ -191,44 +228,56 @@ def validate_cover(g: SimpleGraph,
     """Check the double-cover law: every edge in exactly two circuits.
 
     A circuit given as a frozenset of host edges is taken as it is;
-    any other is normalized first.  Each circuit's report comes from a
-    memo that keeps the 1,024 most recently used circuits, so a circuit
-    shared by many covers is walked once while a long-lived process
-    holds a bounded number.  The law itself is decided by set algebra;
-    the unknown-edge and per-edge diagnostics are built only when
-    something is wrong.  Never raises; failures come back as
-    diagnostics, a circuit that is not iterable or an edge that is not
-    a pair among them (its circuit then counts no edges).
+    any other is normalized first.  Each circuit's report and host-edge
+    bitmask come from a memo that keeps the 1,024 most recently used
+    circuits, so a circuit shared by many covers is walked once while a
+    long-lived process holds a bounded number.  The law is decided by
+    mask algebra: it holds iff the XOR of the masks is 0 (every edge met
+    an even number of times), their OR is the full mask (every edge
+    met) and the circuits' edge counts sum to 2|E| (so no edge is met
+    more than twice and none is foreign).  The unknown-edge and
+    per-edge diagnostics are built only when something is wrong.  Never
+    raises; failures come back as diagnostics, a circuit that is not
+    iterable or an edge that is not a pair among them (its circuit then
+    counts no edges).
     """
+    return _validate(g, circuits)[0]
+
+
+def _validate(g: SimpleGraph, circuits: Iterable[Iterable[Sequence[int]]]
+              ) -> tuple[CoverReport, list[frozenset[Edge]], list[_Facts]]:
+    """:func:`validate_cover`'s report, with the circuits as normalized
+    and their facts."""
     edges = g.edges
     sets: list[frozenset[Edge]] = []
+    facts: list[_Facts] = []
     problems: list[str] = []
-    reports: list[CircuitReport] = []
+    odd = met = slots = 0
     for i, c in enumerate(circuits):
         try:
-            if isinstance(c, frozenset) and c <= edges:
-                rep = _circuit_report(c)
-            else:
+            f = _facts(c, edges) if isinstance(c, frozenset) else None
+            if f is None:
                 c = _normalize_circuit(c)
-                rep = _circuit_report(c) if c <= edges else None
+                f = _facts(c, edges)
         except InvalidCover as exc:
-            c, rep = frozenset(), CircuitReport(False, False, (str(exc),))
-        if rep is None:
-            rep = CircuitReport(False, False,
-                                tuple(_check_known_edges(g, c)))
+            c = frozenset()
+            f = _Facts(CircuitReport(False, False, (str(exc),)), 0, (), ())
+        if f is None:
+            # its host edges are left out of the masks; its edge count
+            # alone breaks the law
+            f = _Facts(CircuitReport(False, False,
+                                     tuple(_check_known_edges(g, c))),
+                       0, (), ())
             problems.append(f"circuit {i}: unknown edges")
-        elif not rep.valid:
-            problems.append(f"circuit {i}: " + "; ".join(rep.problems))
+        elif not f.report.valid:
+            problems.append(f"circuit {i}: " + "; ".join(f.report.problems))
+        odd ^= f.mask
+        met |= f.mask
+        slots += len(c)
         sets.append(c)
-        reports.append(rep)
+        facts.append(f)
 
-    # every edge twice: an even count of each, all host edges and no
-    # other met, and 2|E| edge slots in all
-    odd: set[Edge] = set()
-    for c in sets:
-        odd ^= c
-    if odd or sum(map(len, sets)) != 2 * len(edges) or \
-            set().union(*sets) != edges:
+    if odd or met != (1 << len(edges)) - 1 or slots != 2 * len(edges):
         multiplicity = Counter(chain.from_iterable(sets))
         for e in sorted(edges):
             seen = multiplicity.get(e, 0)
@@ -238,9 +287,10 @@ def validate_cover(g: SimpleGraph,
             problems.append(f"edge {e} not in host graph")
 
     valid = not problems
+    reports = tuple([f.report for f in facts])
     is_cycle_cover = valid and all(r.is_cycle for r in reports)
-    return CoverReport(valid, is_cycle_cover, tuple(reports),
-                       tuple(problems))
+    return (CoverReport(valid, is_cycle_cover, reports, tuple(problems)),
+            sets, facts)
 
 
 def facial_cover(m: PlanarMap) -> CircuitDoubleCover:
@@ -269,52 +319,53 @@ def check_orientability(g: SimpleGraph,
     """Search for opposite-direction orientations of all circuits.
 
     Returns a witness, or None when the cover admits none.  Invalid
-    covers are rejected with :class:`InvalidCover`.
+    covers are rejected with :class:`InvalidCover`; the check is
+    :func:`validate_cover`'s mask algebra, on facts the search reads
+    too.
 
     Where a circuit has degree 2, one edge leaves, so its degree-2
     vertices chain its edges into trails, each with one free direction
     bit; an edge shared by two trails runs opposite ways in them, which
     fixes their relative bit or refutes the cover.  Where a circuit
-    has degree 2m >= 4, m edges leave; only these constraints are
-    searched, iteratively, over the components of trails they touch.
-    The witness is the least solution in edge order (circuits in
-    order, edges sorted, an edge's first circuit leaving its smaller
-    end first).
+    has degree 2m >= 4, m edges leave; a trail with both ends there
+    always leaves once, so only trails between two different such
+    vertices are constrained, and only those constraints are searched,
+    iteratively, over the components of trails they touch.  The witness
+    is the least solution in edge order (circuits in order, edges
+    sorted, an edge's first circuit leaving its smaller end first).
     """
     if not isinstance(cover, CircuitDoubleCover):
         cover = CircuitDoubleCover.build(cover)
-    report = validate_cover(g, cover.circuits)
+    report, circuits, facts = _validate(g, cover.circuits)
     if not report.valid:
         raise InvalidCover("; ".join(report.problems))
-    parts = _orientation(cover.circuits, g.edges)
+    parts = _orientation(circuits, facts, g.edges)
     return None if parts is None else OrientedCover(parts)
 
 
-@lru_cache(maxsize=16)
-def _edge_bits(edges: frozenset[Edge]) -> dict[Edge, int]:
-    """Each host edge's bit, the edges sorted (memoised; read only)."""
-    return {e: 1 << i for i, e in enumerate(sorted(edges))}
+def _trails(circuit: frozenset[Edge], bit: dict[Edge, int]
+            ) -> tuple[tuple[tuple[int, int], ...],
+                       tuple[tuple[tuple[int, int], ...], ...]]:
+    """A valid circuit's trails and the constraints left on them, by
+    host-edge bit.
 
+    An edge is flipped when it runs from its larger end.  At a vertex
+    of degree 2 exactly one of the two edges leaves, which fixes their
+    relative flip; these links chain the edges into trails, taken in
+    order of their least edges.  A trail's bit is the flip of its least
+    edge, and setting it flips every edge of the trail.  Per trail: the
+    bitmask of its edges and that of those flipped at bit 0.
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _trails(circuit: frozenset[Edge], edges: frozenset[Edge]
-            ) -> tuple[tuple[tuple[int, int, int], ...], int, tuple]:
-    """A circuit's trails, base flips and wide-vertex literals
-    (memoised).
-
-    The edge at position p of the circuit's sorted edges is flipped
-    when it runs from its larger end, and it leaves its smaller end iff
-    it is not.  At a vertex of degree 2 exactly one of the two edges
-    leaves, which fixes their relative flip; these links chain the
-    edges into trails, taken in order of their least positions.  A
-    trail's bit is the flip of its least edge, and setting it flips
-    every edge of the trail.  Per trail: the host-edge bitmask of its edges, that
-    of those flipped at bit 0, and its position mask.  ``base`` holds
-    the flips (as position bits) with every trail bit 0.  Per vertex
-    of degree >= 4, in order of first appearance, the literals (trail,
-    c): an edge there leaves it iff its trail's bit ^ c is 1.
+    At a vertex of degree 2m >= 4 (a wide vertex) m edges leave.  Each
+    trail ends at wide vertices (or closes on itself, in a cycle), and
+    one with both ends at the same wide vertex leaves it exactly once
+    whatever its bit, so that pair of ends is dropped.  What is left
+    binds only trails that join two different wide vertices: per wide
+    vertex with ends left, in order of first appearance, the literals
+    (edge bit, side), where the edge leaves the vertex iff its flip xor
+    side is 1 (side 1: the vertex is its smaller end).  A circuit with
+    one wide vertex, as every circuit of a wheel, has none.
     """
-    bit = _edge_bits(edges)
     ordered = sorted(circuit)
     at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (position, side)
     for p, (u, v) in enumerate(ordered):
@@ -328,124 +379,119 @@ def _trails(circuit: frozenset[Edge], edges: frozenset[Edge]
     trail_of = [-1] * len(ordered)
     flip = [0] * len(ordered)
     trails = []
-    base = 0
     for start in range(len(ordered)):
         if trail_of[start] >= 0:
             continue
         trail_of[start] = len(trails)
-        mask = pattern = pos = 0
+        mask = pattern = 0
         stack = [start]
         while stack:
             p = stack.pop()
             mask |= bit[ordered[p]]
-            pos |= 1 << p
             if flip[p]:
                 pattern |= bit[ordered[p]]
-                base |= 1 << p
             for side in (0, 1):
                 q, other = across.get((p, side), (p, side))
                 if trail_of[q] < 0:     # one of p, q leaves this vertex
                     trail_of[q] = len(trails)
                     flip[q] = flip[p] ^ side ^ other ^ 1
                     stack.append(q)
-        trails.append((mask, pattern, pos))
-    wide = tuple(tuple((trail_of[p], flip[p] ^ side) for p, side in group)
-                 for group in at.values() if len(group) > 2)
-    return tuple(trails), base, wide
+        trails.append((mask, pattern))
+    wide = []
+    for group in at.values():
+        if len(group) > 2:
+            ends = Counter(trail_of[p] for p, _ in group)
+            lits = tuple((bit[ordered[p]], side) for p, side in group
+                         if ends[trail_of[p]] == 1)
+            if lits:
+                wide.append(lits)
+    return tuple(trails), tuple(wide)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _part(circuit: frozenset[Edge], flips: int) -> frozenset[Arc]:
-    """The arcs orienting ``circuit``: the edge at position p of its
-    sorted edges runs from its larger end iff bit p of ``flips`` is set
-    (memoised)."""
-    return frozenset([(v, u) if flips >> p & 1 else (u, v)
-                      for p, (u, v) in enumerate(sorted(circuit))])
+def _part(circuit: frozenset[Edge], edges: frozenset[Edge], flips: int
+          ) -> frozenset[Arc]:
+    """The arcs orienting ``circuit``: an edge runs from its larger end
+    iff its host-edge bit is set in ``flips`` (memoised)."""
+    bit = _edge_bits(edges)
+    return frozenset([(v, u) if bit[u, v] & flips else (u, v)
+                      for u, v in sorted(circuit)])
 
 
 def _orientation(circuits: Sequence[frozenset[Edge]],
+                 facts: Sequence[_Facts],
                  edges: frozenset[Edge],
                  deadline: _Deadline | None = None
                  ) -> tuple[frozenset[Arc], ...] | None:
     """The witness parts of :func:`check_orientability` for a valid
-    cover of the host with edge set ``edges``, or None.
+    cover of the host with edge set ``edges``, given its circuits'
+    facts, or None.
 
-    Each circuit's trails come from the memo :func:`_trails` and each
-    witness part from the memo :func:`_part`, keyed by the circuit and
-    its flips, so covers sharing a circuit share its parts.  Trails
-    are taken in circuit order.  A component of trails keeps the
-    bitmask of its open edges (seen once) and of those flipped when
-    its root, its first trail, has bit 0.  A trail meeting a component
-    shares edges with it, which it runs the other way: one AND and XOR
-    on those edges either fixes its bit relative to the root or
-    refutes the cover.  A trail meeting several components joins them
-    under the oldest root, so no trail's parent is younger than it and
-    one pass in trail order flattens every component.
+    Trails are taken in circuit order.  The first trail not yet placed
+    roots a component at bit 0, and the component keeps the bitmasks of
+    its edges, of its open ones (held by one trail so far) and of those
+    flipped there.  A trail sharing open edges with it runs them the
+    other way: one AND and XOR on those edges settles its bit or
+    refutes the cover.  Passes over the trails left grow the component
+    until none of its edges is open.  Each circuit's flips, with every
+    root at bit 0, collect in one host-edge bitmask.
 
-    The least edge of a component's first circuit comes first among
-    its edges in edge order, and the component's root holds it at its
-    least position, as the root's bit.  Trying 0 before 1 in root order
-    therefore finds the least solution in edge order.  With
-    ``deadline``, raises :class:`TimeBudgetExceeded` once the budget
-    has run out, before building anything if it already has.
+    A component's root holds its least edge at its least position, as
+    its bit.  Only the constraints :func:`_trails` leaves are searched,
+    over the components they touch, iteratively, trying 0 before 1 in
+    root order, and a component set to 1 flips every edge it holds; so
+    the witness is the least solution in edge order.  Each part comes
+    from the memo :func:`_part`, keyed by the circuit and its flips, so
+    covers sharing a circuit share its parts.  With ``deadline``,
+    raises :class:`TimeBudgetExceeded` once the budget has run out,
+    before building anything if it already has.
     """
     if deadline is not None and deadline.late():
         raise TimeBudgetExceeded("no time left for the orientation search")
-    parent: list[int] = []      # per trail: an older trail of its component
-    parity: list[int] = []      # its bit xor that trail's
-    live: list[list[int]] = []  # [root, open mask, flipped mask], by root
-    shapes = []
-    for circuit in circuits:
-        shape = _trails(circuit, edges)
-        shapes.append((circuit, len(parent), shape))
-        for mask, pattern, _ in shape[0]:
-            t = len(parent)
-            parent.append(t)
-            parity.append(0)
-            fresh = mask                # its edges seen for the first time
-            host = None
-            for comp in live:
-                shared = comp[1] & mask
+    flips = [0] * len(facts)    # per circuit, with every root at bit 0
+    comps: list[int] = []       # per component, oldest root first: its edges
+    pending = [(mask, pattern, i)
+               for i, f in enumerate(facts) for mask, pattern in f.trails]
+    while pending:
+        held, flipped, i = pending[0]
+        flips[i] |= flipped
+        open_ = held
+        rest = pending[1:]
+        while open_:
+            left = []
+            for trail in rest:
+                mask, pattern, i = trail
+                shared = mask & open_
                 if not shared:
+                    left.append(trail)
                     continue
-                same = (pattern ^ comp[2]) & shared
-                if same and same != shared:
-                    return None
-                comp[1] ^= shared
-                fresh ^= shared
-                rel = 0 if same else 1  # t's bit xor the root's
-                if host is None:
-                    host = comp
-                    parent[t], parity[t] = comp[0], rel
-                else:                   # join comp under host's root
-                    rel ^= parity[t]
-                    parent[comp[0]], parity[comp[0]] = host[0], rel
-                    host[1] |= comp[1]
-                    host[2] |= comp[2] ^ comp[1] if rel else comp[2]
-                    comp[1] = 0
-            if host is None:
-                live.append([t, mask, pattern])
-            else:
-                host[1] |= fresh
-                host[2] |= (pattern ^ mask if parity[t] else pattern) & fresh
-                live = [comp for comp in live if comp[1]]
-    for x, y in enumerate(parent):      # y < x is already flat
-        if y != x:
-            parent[x] = parent[y]
-            parity[x] ^= parity[y]
+                differ = (pattern ^ flipped) & shared
+                if differ != shared:    # bit 0 fails on some shared edge
+                    if differ:
+                        return None
+                    pattern ^= mask
+                flips[i] |= pattern
+                open_ ^= mask
+                flipped |= pattern
+                held |= mask
+            if len(left) == len(rest):  # an edge met once: no double cover
+                return None
+            rest = left
+        comps.append(held)
+        pending = rest
 
     # constraint k needs need[k] more leaving edges among free[k] open
     need: list[int] = []
     free: list[int] = []
     occ: dict[int, list[tuple[int, int]]] = {}
-    for _, first, (_, _, wide) in shapes:
-        for lits in wide:
+    for i, f in enumerate(facts):
+        for lits in f.wide:
             k = len(need)
             need.append(len(lits) // 2)
             free.append(len(lits))
-            for j, c in lits:
-                r = parent[first + j]
-                entry = (k, parity[first + j] ^ c)
+            for b, side in lits:
+                r = next(j for j, comp in enumerate(comps) if comp & b)
+                entry = (k, side ^ 1 if flips[i] & b else side)
                 if r in occ:
                     occ[r].append(entry)
                 else:
@@ -476,14 +522,12 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
     if depth < 0:
         return None
 
-    value = {r: t - 1 for r, t in zip(order, tried)}
-    parts = []
-    for circuit, first, (trails, flips, _) in shapes:
-        for j, (_, _, pos) in enumerate(trails, first):
-            if value.get(parent[j], 0) ^ parity[j]:
-                flips ^= pos
-        parts.append(_part(circuit, flips))
-    return tuple(parts)
+    inverted = 0                # the edges of the components set to 1
+    for r, t in zip(order, tried):
+        if t == 2:
+            inverted |= comps[r]
+    return tuple([_part(c, edges, x ^ (inverted & f.mask))
+                  for c, f, x in zip(circuits, facts, flips)])
 
 
 def validate_oriented_cover(g: SimpleGraph, cover: CircuitDoubleCover,
@@ -852,7 +896,8 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
     odd_count = [0] * g.n
     rem_e = [g.degree(v) for v in range(g.n)]
 
-    # per member tuple: the part's (key, circuit), None if disconnected
+    # per member tuple: the part's (key, circuit, facts), None if
+    # disconnected (a part is even once every edge is placed)
     part_of: dict[tuple[int, ...], tuple | None] = {}
 
     def leaf() -> tuple[tuple, CircuitDoubleCover] | None:
@@ -862,22 +907,25 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
         for members in part_members:
             members = tuple(members)
             if members in part_of:
-                kc = part_of[members]
+                kcf = part_of[members]
             else:
-                part = [edges[i] for i in members]
-                kc = part_of[members] = (
-                    (_circuit_key(part), frozenset(part))
-                    if _connected(_adjacency(part)) else None)
-            if kc is None:
+                circuit = frozenset([edges[i] for i in members])
+                facts = _facts(circuit, g.edges)
+                kcf = part_of[members] = (
+                    (_circuit_key(circuit), circuit, facts)
+                    if facts.report.valid else None)
+            if kcf is None:
                 return None
-            keyed.append(kc)
-        keyed.sort(key=lambda kc: kc[0])
-        circuits = tuple(c for _, c in keyed)
+            keyed.append(kcf)
+        keyed.sort(key=lambda kcf: kcf[0])
+        circuits = tuple([c for _, c, _ in keyed])
         try:
-            parts = _orientation(circuits, g.edges, deadline)
+            parts = _orientation(circuits, [f for _, _, f in keyed],
+                                 g.edges, deadline)
         except TimeBudgetExceeded:
             return None     # undecided when the budget ran out: left out
-        return tuple(k for k, _ in keyed), CircuitDoubleCover(circuits, parts)
+        return (tuple([k for k, _, _ in keyed]),
+                CircuitDoubleCover(circuits, parts))
 
     def pairs(i: int) -> list[tuple[int, int, int, int]]:
         """The part pairs edge ``i`` may join, with the change each

@@ -22,7 +22,7 @@ from .apollonian import (
 from .cdc import (
     DEFAULT_MAX_EDGES,
     OrientedCover,
-    _orientation,
+    check_orientability,
     enumerate_covers,
     translate_cover,
     validate_cover,
@@ -213,8 +213,7 @@ def _cmd_cdc_validate(ns: argparse.Namespace) -> int:
         "problems": list(report.problems),
     }
     if report.valid:
-        # the cover is valid, so its circuits go straight to the search
-        body["orientable"] = _orientation(cover.circuits, g.edges) is not None
+        body["orientable"] = check_orientability(g, cover) is not None
         body.update(_surface(cover, g))
     passed = report.valid
     if cover.orientation is not None:

@@ -20,6 +20,7 @@ from cdclab.cdc import (
     _Deadline,
     _enumerate_all,
     _enumerate_transitions,
+    _facts,
     _orientation,
     CircuitDoubleCover,
     CircuitReport,
@@ -752,29 +753,77 @@ def _reference_orientation(circuits):
         for circuit, row in rows)
 
 
+def _orient(circuits, edges):
+    """`_orientation` on a valid cover, its facts read from the memo."""
+    return _orientation(circuits, [_facts(c, edges) for c in circuits], edges)
+
+
 def test_orientation_matches_the_edge_level_reference():
     # every oracle cover, orientable or not, of each host and of three
     # relabelled copies: the same witness parts, or None, as the edge
-    # level search, byte for byte
-    for name in ["k4", "prism", "cube", "wheel:4", "wheel:5", "wheel:6"]:
+    # level search, byte for byte.  On the apollonian hosts some trails
+    # join two different wide vertices, so there the search over the
+    # constraints left runs; on apollonian:0,0 (taken once, it has 9,508
+    # covers) the witnesses of some covers, and whether some are
+    # orientable at all, turn on those constraints.
+    hosts = [("apollonian:0,0", underlying_graph(select("apollonian:0,0")))]
+    for name in ["k4", "prism", "cube", "wheel:4", "wheel:5", "wheel:6",
+                 "apollonian:0"]:
         g = underlying_graph(select(name))
-        for host in [g] + [_relabel(g, seed)[0] for seed in range(3)]:
-            covers = require_complete(
-                enumerate_covers(host, orientable_only=False)).covers
-            assert any(c.orientation is None for c in covers), name
-            for cover in covers:
-                expected = _reference_orientation(cover.circuits)
-                assert cover.orientation == expected, name
-                assert _orientation(cover.circuits, host.edges) == \
-                    expected, name
+        hosts += [(name, g)] + [(name, _relabel(g, seed)[0])
+                                for seed in range(3)]
+    for name, host in hosts:
+        covers = require_complete(
+            enumerate_covers(host, orientable_only=False)).covers
+        assert any(c.orientation is None for c in covers), name
+        for cover in covers:
+            expected = _reference_orientation(cover.circuits)
+            assert cover.orientation == expected, name
+            assert _orient(cover.circuits, host.edges) == expected, name
     c5 = _cycle(5)
-    forward, backward = _orientation((c5.edges, c5.edges), c5.edges)
+    forward, backward = _orient((c5.edges, c5.edges), c5.edges)
     assert (forward, backward) == _reference_orientation((c5.edges,) * 2)
     assert backward == {(v, u) for u, v in forward}
     k4_graph = underlying_graph(k4())
     hamiltonians = [frozenset(c) for c in K4_HAMILTONIANS]
     assert _reference_orientation(hamiltonians) is None
-    assert _orientation(hamiltonians, k4_graph.edges) is None
+    assert _orient(hamiltonians, k4_graph.edges) is None
+
+
+def test_orientability_reads_the_circuits_as_validated():
+    # a cover constructed directly, with every edge given from its
+    # larger end, is valid, and its orientation is searched on its
+    # circuits as the validation normalized them
+    g = underlying_graph(k4())
+    cover = facial_cover(k4())
+    flipped = CircuitDoubleCover(tuple(frozenset((v, u) for u, v in c)
+                                       for c in cover.circuits))
+    assert validate_cover(g, flipped.circuits).valid
+    assert check_orientability(g, flipped) == check_orientability(g, cover)
+
+
+def test_only_trails_between_two_wide_vertices_are_constrained():
+    # a trail with both ends at one wide vertex (degree >= 4 in its
+    # circuit) leaves it once whatever its bit, so its ends bind
+    # nothing: a wheel's only wide vertex is its hub, and no circuit of
+    # wheel:7's covers keeps a constraint, while on apollonian:0 some
+    # trail joins two different wide vertices
+    g7 = underlying_graph(wheel(7))
+    covers = enumerate_covers(g7).covers
+    assert len(covers) == 1751
+    assert not any(_facts(c, g7.edges).wide
+                   for cover in covers for c in cover.circuits)
+    g = underlying_graph(select("apollonian:0"))
+    covers = require_complete(
+        enumerate_covers(g, orientable_only=False)).covers
+    kept = [c for cover in covers for c in cover.circuits
+            if _facts(c, g.edges).wide]
+    assert len(covers) == 132 and len(kept) == 33
+    for circuit in set(kept):
+        for lits in _facts(circuit, g.edges).wide:
+            # an even number of ends, none of them twice
+            assert len(lits) % 2 == 0
+            assert len(set(lits)) == len(lits)
 
 
 def test_oracle_builds_each_circuit_once():
@@ -1033,18 +1082,51 @@ def _validation_inputs():
         (octa_graph, [frozenset(walk_edges(touching))]
          + [frozenset(c) for c in octa_faces[2:]]),
     ]
+    # each caught by one of the mask law's three conditions alone: an
+    # edge met an odd number of times (a duplicated circuit in place of
+    # another), an edge never met (one triangle four times: every count
+    # even and 2|E| edge slots), and too many slots (a circuit twice
+    # more, or one of foreign edges only)
+    inputs += [
+        (k4_graph, triangles[:3] + triangles[:1]),
+        (k4_graph, triangles[:1] * 4),
+        (k4_graph, frozen[:1] * 4),
+        (k4_graph, triangles + triangles[:1] * 2),
+        (k4_graph, triangles + [[(4, 5), (5, 6), (4, 6)]]),
+        (k4_graph, frozen + [frozenset({(4, 5), (5, 6), (4, 6)})]),
+        # a circuit given as a list, with an edge twice and reversed
+        (k4_graph, [triangles[0] + [(v, u) for u, v in triangles[0]]]
+         + triangles[1:]),
+    ]
     for cover in enumerate_covers(w4, orientable_only=False).covers:
         inputs.append((w4, cover.circuits))
     return inputs
 
 
+def _generated_inputs():
+    """(host, make) pairs: ``make`` gives circuits as generators, read
+    once, so each check gets its own."""
+    k4_graph = underlying_graph(k4())
+    triangles = [sorted(c) for c in facial_cover(k4()).circuits]
+    return [
+        (k4_graph, lambda: triangles[:3] + [(e for e in triangles[3])]),
+        (k4_graph, lambda: ((e for e in c) for c in triangles)),
+        (k4_graph, lambda: ((e for e in c) for c in triangles[:1] * 4)),
+        (k4_graph, lambda: triangles[:3] + [(e for e in [(0, 9)])]),
+    ]
+
+
 def test_validate_cover_matches_reference():
     inputs = _validation_inputs()
+    generated = _generated_inputs()
     clear_memos()
     for _ in range(2):          # from cold memos, then warm
         for g, circuits in inputs:
             assert validate_cover(g, circuits) == \
                 _reference_validate_cover(g, circuits), circuits
+        for g, make in generated:
+            assert validate_cover(g, make()) == \
+                _reference_validate_cover(g, make())
 
 
 def test_an_edge_that_is_not_a_pair_is_a_diagnostic():
