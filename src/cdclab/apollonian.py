@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadSelector, NotApollonian
 from .planar_map import (
@@ -50,28 +50,16 @@ def _dart_key(u: int, v: int) -> tuple[int, int, bool]:
     return (u, v, False) if u < v else (v, u, True)
 
 
-def generate_apollonian(
-    stacks: Sequence[int] | int,
-    *,
-    seed: int | None = None,
-) -> PlanarMap:
-    """Build an Apollonian network by face stacking.
+def _stacked_rotation(stacks: Sequence[int] | int,
+                      seed: int | None) -> list[list[int]]:
+    """Counterclockwise neighbour rows, by internal id, of the network
+    that ``stacks`` names (see :func:`generate_apollonian`).
 
-    ``stacks`` is either an explicit sequence of face indices (each
-    indexing the canonical face order of the map at that step) or a
-    count, in which case faces are drawn by :func:`random_stacks`.  The
-    empty sequence gives K4, and vertices are labelled ``1..n`` in the
-    order they were planted.
-
-    The result equals a chain of :func:`~cdclab.surgery.augment_face`
-    calls, but the network grows in one rotation table whose darts are
-    numbered once at the end.  Stacking into a face of a triangulation
-    keeps it a 3-connected planar triangulation, so neither the steps
-    nor the result are validated again.  Dart order, and with it the
-    canonical face order, depends only on endpoint ids, which stacking
-    never changes, so the faces are kept sorted by the key of their
-    smallest dart instead of being re-traced.  A new triangle's
-    smallest dart is the edge it keeps from the face it replaces.
+    Dart order, and with it the canonical face order, depends only on
+    endpoint ids, which stacking never changes, so the faces are kept
+    sorted by the key of their smallest dart instead of being
+    re-traced.  A new triangle's smallest dart is the edge it keeps
+    from the face it replaces.
     """
     if isinstance(stacks, int):
         stacks = random_stacks(stacks, seed)
@@ -92,8 +80,40 @@ def generate_apollonian(
             row.insert(row.index(prev) + 1, apex)
             insort(faces, (_dart_key(prev, v), (prev, v, apex)))
         rotation.append(list(reversed(walk)))
+    return rotation
+
+
+def generate_apollonian(
+    stacks: Sequence[int] | int,
+    *,
+    seed: int | None = None,
+) -> PlanarMap:
+    """Build an Apollonian network by face stacking.
+
+    ``stacks`` is either an explicit sequence of face indices (each
+    indexing the canonical face order of the map at that step) or a
+    count, in which case faces are drawn by :func:`random_stacks`.  The
+    empty sequence gives K4, and vertices are labelled ``1..n`` in the
+    order they were planted.
+
+    The result equals a chain of :func:`~cdclab.surgery.augment_face`
+    calls, but the network grows in one rotation table whose darts are
+    numbered once at the end.  Stacking into a face of a triangulation
+    keeps it a 3-connected planar triangulation, so neither the steps
+    nor the result are validated again.
+    """
+    rotation = _stacked_rotation(stacks, seed)
     return PlanarMap._derived(*_dart_numbering(rotation),
                               range(1, len(rotation) + 1))
+
+
+def _stacked_graph(stacks: Sequence[int] | int,
+                   seed: int | None) -> SimpleGraph:
+    """``underlying_graph(generate_apollonian(stacks, seed=seed))``,
+    with no darts numbered: the edge sweep reads only the graph."""
+    rotation = _stacked_rotation(stacks, seed)
+    return SimpleGraph(len(rotation), frozenset(
+        (v, w) for v, row in enumerate(rotation) for w in row if v < w))
 
 
 def apollonian_dual(stacks: Sequence[int] | int, *,
@@ -196,8 +216,7 @@ def separating_triangles(g: SimpleGraph | PlanarMap) -> TriangleSet:
     return TriangleSet(tuple(out))
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(NamedTuple):
     edge: tuple[int, int]
     degree_three: bool
     in_separating_triangle: bool
@@ -236,6 +255,5 @@ def check_edge_classification(
     covered = {e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))}
     cubic = {v for v, nbrs in g.adjacency.items() if len(nbrs) == 3}
     return ClassificationReport(tuple(
-        EdgeClass(edge=(u, v), degree_three=u in cubic or v in cubic,
-                  in_separating_triangle=(u, v) in covered)
+        EdgeClass((u, v), u in cubic or v in cubic, (u, v) in covered)
         for u, v in sorted(g.edges)))

@@ -15,6 +15,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .apollonian import (
+    _stacked_graph,
     check_edge_classification,
     generate_apollonian,
     random_stacks,
@@ -281,8 +282,7 @@ def _cmd_verify_prop41(ns: argparse.Namespace) -> int:
     entries = []
     all_pass = True
     for seed in seeds:
-        g = underlying_graph(generate_apollonian(ns.stacks, seed=seed))
-        report = check_edge_classification(g)
+        report = check_edge_classification(_stacked_graph(ns.stacks, seed))
         bad = [{"edge": list(e.edge),
                 "degree_three_endpoint": e.degree_three,
                 "in_separating_triangle": e.in_separating_triangle}
@@ -344,112 +344,158 @@ def _at_least(least: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _branch(argv: Sequence[str] | None, level: int,
+            names: tuple[str, ...]) -> tuple[str, ...]:
+    """The subcommands to build at one level of the parser tree.
+
+    The top-level and group parsers take no option with a value, so
+    argparse reads ``argv[level]`` as this level's command whenever it
+    is one of ``names``, and the siblings would go unused.  (A group
+    reads ``argv[1]`` unless options come before its name, and then
+    ``argv[1]`` is an option or that name, never one of ``names``.)
+    Any other token (help, ``--version``, a typo, none at all) gets
+    the level in full, so every message that lists the commands is
+    unchanged.
+    """
+    if argv is not None and level < len(argv) and argv[level] in names:
+        return (argv[level],)
+    return names
+
+
+def build_parser(argv: Sequence[str] | None = None
+                 ) -> argparse.ArgumentParser:
+    """The command-line parser: the full tree, or with ``argv`` only the
+    branch that ``argv`` takes (see :func:`_branch`)."""
     parser = _Parser(
         prog="cdclab",
         description="planar-map surgeries and circuit double covers")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    build = _branch(argv, 0, ("show", "dual", "truncate", "augment",
+                              "apollonian", "cdc", "verify", "census"))
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write JSON here instead of stdout")
 
-    p = sub.add_parser("show", help="counts, faces, genus")
-    p.add_argument("graph")
-    add_out(p)
-    p.set_defaults(func=_cmd_show)
+    if "show" in build:
+        p = sub.add_parser("show", help="counts, faces, genus")
+        p.add_argument("graph")
+        add_out(p)
+        p.set_defaults(func=_cmd_show)
 
-    p = sub.add_parser("dual", help="planar dual as planar-map/v1")
-    p.add_argument("graph")
-    add_out(p)
-    p.set_defaults(func=_cmd_dual)
+    if "dual" in build:
+        p = sub.add_parser("dual", help="planar dual as planar-map/v1")
+        p.add_argument("graph")
+        add_out(p)
+        p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("truncate", help="vertex truncation")
-    p.add_argument("graph")
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--vertex", type=int, help="truncate one vertex label")
-    grp.add_argument("--all", action="store_true",
-                     help="complete truncation (default)")
-    add_out(p)
-    p.set_defaults(func=_cmd_truncate)
+    if "truncate" in build:
+        p = sub.add_parser("truncate", help="vertex truncation")
+        p.add_argument("graph")
+        grp = p.add_mutually_exclusive_group()
+        grp.add_argument("--vertex", type=int,
+                         help="truncate one vertex label")
+        grp.add_argument("--all", action="store_true",
+                         help="complete truncation (default)")
+        add_out(p)
+        p.set_defaults(func=_cmd_truncate)
 
-    p = sub.add_parser("augment", help="face augmentation")
-    p.add_argument("graph")
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--face", type=int, help="augment one face index")
-    grp.add_argument("--all", action="store_true",
-                     help="complete augmentation (default)")
-    add_out(p)
-    p.set_defaults(func=_cmd_augment)
+    if "augment" in build:
+        p = sub.add_parser("augment", help="face augmentation")
+        p.add_argument("graph")
+        grp = p.add_mutually_exclusive_group()
+        grp.add_argument("--face", type=int, help="augment one face index")
+        grp.add_argument("--all", action="store_true",
+                         help="complete augmentation (default)")
+        add_out(p)
+        p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("apollonian", help="generate or recognize")
-    asub = p.add_subparsers(dest="subcommand", required=True)
-    pg = asub.add_parser("generate", help="random stacking from K4")
-    pg.add_argument("--stacks", type=int, default=10)
-    pg.add_argument("--seed", type=int, default=0)
-    add_out(pg)
-    pg.set_defaults(func=_cmd_apollonian_generate)
-    pc = asub.add_parser("check", help="recognize a planar-map/v1 file")
-    pc.add_argument("file")
-    add_out(pc)
-    pc.set_defaults(func=_cmd_apollonian_check)
+    if "apollonian" in build:
+        p = sub.add_parser("apollonian", help="generate or recognize")
+        asub = p.add_subparsers(dest="subcommand", required=True)
+        leaves = _branch(argv, 1, ("generate", "check"))
+        if "generate" in leaves:
+            pg = asub.add_parser("generate", help="random stacking from K4")
+            pg.add_argument("--stacks", type=int, default=10)
+            pg.add_argument("--seed", type=int, default=0)
+            add_out(pg)
+            pg.set_defaults(func=_cmd_apollonian_generate)
+        if "check" in leaves:
+            pc = asub.add_parser("check",
+                                 help="recognize a planar-map/v1 file")
+            pc.add_argument("file")
+            add_out(pc)
+            pc.set_defaults(func=_cmd_apollonian_check)
 
-    p = sub.add_parser("cdc", help="circuit double covers")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    pe = csub.add_parser("enumerate", help="exhaustive cover search")
-    pe.add_argument("graph")
-    pe.add_argument("--all", action="store_true",
-                    help="all covers, orientability decided per cover")
-    pe.add_argument("--max-edges", type=_at_least(0),
-                    default=DEFAULT_MAX_EDGES)
-    pe.add_argument("--budget", type=_budget, default=None,
-                    help="time budget in seconds")
-    add_out(pe)
-    pe.set_defaults(func=_cmd_cdc_enumerate)
-    pv = csub.add_parser("validate", help="check a cover/v1 file")
-    pv.add_argument("graph")
-    pv.add_argument("--cover", required=True)
-    add_out(pv)
-    pv.set_defaults(func=_cmd_cdc_validate)
-    pt = csub.add_parser("translate",
-                         help="pull a truncation cover back to the host")
-    pt.add_argument("graph", help="the host; its complete truncation "
-                                  "carries the cover")
-    pt.add_argument("--cover", required=True)
-    add_out(pt)
-    pt.set_defaults(func=_cmd_cdc_translate)
+    if "cdc" in build:
+        p = sub.add_parser("cdc", help="circuit double covers")
+        csub = p.add_subparsers(dest="subcommand", required=True)
+        leaves = _branch(argv, 1, ("enumerate", "validate", "translate"))
+        if "enumerate" in leaves:
+            pe = csub.add_parser("enumerate", help="exhaustive cover search")
+            pe.add_argument("graph")
+            pe.add_argument("--all", action="store_true",
+                            help="all covers, orientability decided per "
+                                 "cover")
+            pe.add_argument("--max-edges", type=_at_least(0),
+                            default=DEFAULT_MAX_EDGES)
+            pe.add_argument("--budget", type=_budget, default=None,
+                            help="time budget in seconds")
+            add_out(pe)
+            pe.set_defaults(func=_cmd_cdc_enumerate)
+        if "validate" in leaves:
+            pv = csub.add_parser("validate", help="check a cover/v1 file")
+            pv.add_argument("graph")
+            pv.add_argument("--cover", required=True)
+            add_out(pv)
+            pv.set_defaults(func=_cmd_cdc_validate)
+        if "translate" in leaves:
+            pt = csub.add_parser(
+                "translate", help="pull a truncation cover back to the host")
+            pt.add_argument("graph", help="the host; its complete "
+                                          "truncation carries the cover")
+            pt.add_argument("--cover", required=True)
+            add_out(pt)
+            pt.set_defaults(func=_cmd_cdc_translate)
 
-    p = sub.add_parser("verify", help="machine checks")
-    vsub = p.add_subparsers(dest="subcommand", required=True)
-    pvs = vsub.add_parser("square",
-                          help="augment-the-dual vs dualize-the-truncation")
-    pvs.add_argument("graph")
-    add_out(pvs)
-    pvs.set_defaults(func=_cmd_verify_square)
-    pvp = vsub.add_parser("prop41", help="edge classification sweep")
-    pvp.add_argument("--seeds", default="0..99",
-                     help="range a..b or comma list")
-    pvp.add_argument("--stacks", type=int, default=20)
-    add_out(pvp)
-    pvp.set_defaults(func=_cmd_verify_prop41)
+    if "verify" in build:
+        p = sub.add_parser("verify", help="machine checks")
+        vsub = p.add_subparsers(dest="subcommand", required=True)
+        leaves = _branch(argv, 1, ("square", "prop41"))
+        if "square" in leaves:
+            pvs = vsub.add_parser(
+                "square", help="augment-the-dual vs dualize-the-truncation")
+            pvs.add_argument("graph")
+            add_out(pvs)
+            pvs.set_defaults(func=_cmd_verify_square)
+        if "prop41" in leaves:
+            pvp = vsub.add_parser("prop41", help="edge classification sweep")
+            pvp.add_argument("--seeds", default="0..99",
+                             help="range a..b or comma list")
+            pvp.add_argument("--stacks", type=int, default=20)
+            add_out(pvp)
+            pvp.set_defaults(func=_cmd_verify_prop41)
 
-    p = sub.add_parser("census", help="orientable-cover census")
-    p.add_argument("--corpus", nargs="+", metavar="SELECTOR",
-                   help="one or more selectors (default: the built-in "
-                        "corpus)")
-    p.add_argument("--max-edges", type=_at_least(0),
-                   default=DEFAULT_MAX_EDGES)
-    p.add_argument("--budget", type=_budget, default=None,
-                   help="time budget in seconds per entry")
-    p.add_argument("--workers", type=_at_least(1), default=None)
-    add_out(p)
-    p.set_defaults(func=_cmd_census)
+    if "census" in build:
+        p = sub.add_parser("census", help="orientable-cover census")
+        p.add_argument("--corpus", nargs="+", metavar="SELECTOR",
+                       help="one or more selectors (default: the built-in "
+                            "corpus)")
+        p.add_argument("--max-edges", type=_at_least(0),
+                       default=DEFAULT_MAX_EDGES)
+        p.add_argument("--budget", type=_budget, default=None,
+                       help="time budget in seconds per entry")
+        p.add_argument("--workers", type=_at_least(1), default=None)
+        add_out(p)
+        p.set_defaults(func=_cmd_census)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

@@ -31,45 +31,22 @@ _MAP_CODE_VERSION = b"M1"
 _GRAPH_CODE_VERSION = b"G2"
 
 
-def _bfs_rows(perm: tuple[int, ...], start: int) -> list[tuple[int, int]]:
-    """Dart relabeling rows for one (orientation, start) run.
+def _least_rows(runs: list[tuple[tuple[int, ...], int]]) -> list[int]:
+    """The rows of a least run, flattened: ``a, b`` for each row.
 
-    Row ``j`` is ``(label of perm(d), label of alpha(d))`` for the dart
-    ``d`` labeled ``j``.
+    A run relabels darts breadth-first from its start dart along its
+    permutation ``perm``: row ``j`` is ``(label of perm(d), label of
+    alpha(d))`` for the dart ``d`` labelled ``j``.  Every run advances
+    one row at a time and drops out at the first row above that row's
+    minimum; the last one left is finished alone, from its own labels.
+    Runs that tie to the end give the same rows.
     """
-    n = len(perm)
-    label = [-1] * n
-    order = [0] * n
-    label[start] = 0
-    order[0] = start
-    assigned = 1
-    rows: list[tuple[int, int]] = []
-    for j in range(n):
-        d = order[j]
-        nxt, opp = perm[d], d ^ 1
-        if label[nxt] < 0:
-            label[nxt] = assigned
-            order[assigned] = nxt
-            assigned += 1
-        if label[opp] < 0:
-            label[opp] = assigned
-            order[assigned] = opp
-            assigned += 1
-        rows.append((label[nxt], label[opp]))
-    return rows
-
-
-def _least_run(runs: list[tuple[tuple[int, ...], int]]
-               ) -> tuple[tuple[int, ...], int]:
-    """A run whose rows are least, found by advancing every run one row
-    at a time and dropping each at the first row above that row's
-    minimum.  Runs that tie to the end give the same rows."""
     n = len(runs[0][0])
     # Per run: perm, labels so far, darts in label order.
     live = [(perm, {start: 0}, [start]) for perm, start in runs]
-    for j in range(n):
-        if len(live) == 1:
-            break
+    rows: list[int] = []
+    j = 0
+    while j < n and len(live) > 1:
         low = n * n     # above every row (a, b), read as a * n + b
         for run in live:
             perm, label, order = run
@@ -89,20 +66,37 @@ def _least_run(runs: list[tuple[tuple[int, ...], int]]
                 low, keep = row, [run]
             elif row == low:
                 keep.append(run)
+        rows += divmod(low, n)
         live = keep
-    perm, _, order = live[0]
-    return perm, order[0]
+        j += 1
+    perm, known, order = live[0]
+    label = [-1] * n
+    for d, a in known.items():
+        label[d] = a
+    for j in range(j, n):
+        d = order[j]
+        e = perm[d]
+        if label[e] < 0:
+            label[e] = len(order)
+            order.append(e)
+        rows.append(label[e])
+        e = d ^ 1
+        if label[e] < 0:
+            label[e] = len(order)
+            order.append(e)
+        rows.append(label[e])
+    return rows
 
 
 def map_canonical_code(m: PlanarMap) -> bytes:
     """Invariant byte code: equal codes iff maps are isomorphic.
 
-    The code (``M1``) is the least run of :func:`_bfs_rows` over both
+    The code (``M1``) is the least run (:func:`_least_rows`) over both
     global orientations, so mirror images compare equal, and over the
     start darts at vertices of the minimum degree when that degree is
     at most 3, else over every start dart.  Either way it is the least
     run over every start.  The candidate runs advance in lockstep, and
-    only the last one left is built in full.
+    only the last one left runs to the end.
     """
     sigma = m.sigma
     sigma_inv = [0] * m.dart_count
@@ -118,12 +112,10 @@ def map_canonical_code(m: PlanarMap) -> bytes:
     starts = range(m.dart_count) if low > 3 else [
         d for v, k in enumerate(degrees) if k == low
         for d in m.darts_of_vertex(v)]
-    best = _bfs_rows(*_least_run(
-        [(perm, start) for perm in (sigma, tuple(sigma_inv))
-         for start in starts]))
-    payload = struct.pack(">I", m.dart_count)
-    payload += b"".join(struct.pack(">HH", a, b) for a, b in best)
-    return _MAP_CODE_VERSION + payload
+    rows = _least_rows([(perm, start) for perm in (sigma, tuple(sigma_inv))
+                        for start in starts])
+    return _MAP_CODE_VERSION + struct.pack(f">I{len(rows)}H",
+                                           m.dart_count, *rows)
 
 
 def maps_isomorphic(m1: PlanarMap, m2: PlanarMap) -> bool:

@@ -1,6 +1,7 @@
 """Apollonian generation, recognition, and the edge classification."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdclab.apollonian import (
+    EdgeClass,
+    _stacked_graph,
     _unstack,
     apollonian_dual,
     check_edge_classification,
@@ -16,8 +19,10 @@ from cdclab.apollonian import (
     random_stacks,
     separating_triangles,
 )
+from cdclab.cli import main
 from cdclab.corpus import cube, default_census_corpus, k4, octahedron, select
 from cdclab.errors import BadSelector, NotApollonian
+from cdclab.io_formats import report_to_json, strip_timing
 from cdclab.iso import map_canonical_code
 from cdclab.planar_map import (
     SimpleGraph,
@@ -198,6 +203,61 @@ def test_classification_report_has_all_edges():
     g = underlying_graph(generate_apollonian(6, seed=1))
     report = check_edge_classification(g)
     assert sorted(e.edge for e in report.entries) == sorted(g.edges)
+
+
+def test_edge_class_keeps_its_public_face():
+    e = EdgeClass((2, 5), False, True)
+    assert EdgeClass._fields == ("edge", "degree_three",
+                                 "in_separating_triangle")
+    assert (e.edge, e.degree_three, e.in_separating_triangle) == \
+        ((2, 5), False, True)
+    assert e.ok and EdgeClass(edge=(2, 5), degree_three=False,
+                              in_separating_triangle=False).ok is False
+    assert repr(e) == ("EdgeClass(edge=(2, 5), degree_three=False, "
+                       "in_separating_triangle=True)")
+    with pytest.raises(AttributeError):
+        e.ok = False
+    with pytest.raises(AttributeError):
+        e.edge = (0, 1)
+
+
+# SHA-256 over repr(check_edge_classification(g).entries) for the
+# networks generate_apollonian(20, seed=s), s in 0..19, as taken when
+# EdgeClass was a frozen dataclass: its records read the same.
+EDGE_CLASS_DIGEST = (
+    "993cdc26f850b0ae01e6028c5b50df01a3cb4d9d1b06a7376faa90a6851a8f10")
+
+
+def test_edge_classes_match_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        g = underlying_graph(generate_apollonian(20, seed=seed))
+        digest.update(repr(check_edge_classification(g).entries).encode())
+    assert digest.hexdigest() == EDGE_CLASS_DIGEST
+
+
+@pytest.mark.parametrize("stacks", [0, 1, 2, 5, 20, 100])
+def test_sweep_graph_is_the_generated_network(stacks):
+    for seed in range(50):
+        assert _stacked_graph(stacks, seed) == \
+            underlying_graph(generate_apollonian(stacks, seed=seed))
+
+
+def test_prop41_report_matches_the_generated_networks(capsys):
+    entries = []
+    for seed in range(100):
+        report = check_edge_classification(
+            underlying_graph(generate_apollonian(20, seed=seed)))
+        entries.append({"seed": seed, "passed": report.passed, "bad_edges": [
+            {"edge": list(e.edge), "degree_three_endpoint": e.degree_three,
+             "in_separating_triangle": e.in_separating_triangle}
+            for e in report.entries if not e.ok]})
+    want = report_to_json("edge-classification", {
+        "stacks": 20, "seeds": list(range(100)), "entries": entries,
+        "passed": all(e["passed"] for e in entries)})
+    code = main(["verify", "prop41", "--seeds", "0..99"])
+    got = strip_timing(json.loads(capsys.readouterr().out))
+    assert (code, got) == (0 if want["passed"] else 1, want)
 
 
 def test_unstacking_reads_off_the_separating_triangles():

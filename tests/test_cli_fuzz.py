@@ -1,4 +1,6 @@
-"""Arbitrary JSON files fed to the CLI end in a documented exit code."""
+"""Arbitrary JSON files fed to the CLI end in a documented exit code,
+and arbitrary argv parses the same through one parser branch as
+through the full tree."""
 
 import contextlib
 import io
@@ -10,7 +12,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdclab.cli import main
+from cdclab.cli import build_parser, main
 
 _scalar = (st.none() | st.booleans() | st.integers(-3, 8)
            | st.integers() | st.floats() | st.text(max_size=4))
@@ -60,3 +62,28 @@ def test_cli_survives_arbitrary_json(doc, argv):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
 
+
+_token = st.sampled_from([
+    "show", "dual", "truncate", "augment", "apollonian", "generate",
+    "check", "cdc", "enumerate", "validate", "translate", "verify",
+    "square", "prop41", "census", "-h", "--help", "--version", "--",
+    "--out", "--vertex", "--all", "--face", "--stacks", "--seed",
+    "--max-edges", "--budget", "--cover", "--seeds", "--corpus",
+    "--workers", "k4", "0..3", "-", "-1", "",
+]) | st.integers(-2, 12).map(str) | st.text(max_size=5)
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@given(st.lists(_token, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_one_branch_parses_as_the_full_tree(argv):
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)

@@ -1,10 +1,12 @@
 """JSON formats and the command-line surface."""
 
+import argparse
 import json
 
 import pytest
 
 import cdclab.apollonian
+from cdclab import cli
 from cdclab.cdc import CircuitDoubleCover, check_orientability, facial_cover
 from cdclab.census import worker_count
 from cdclab.cli import main
@@ -566,3 +568,78 @@ def test_usage_error_on_missing_subcommand(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "show", "k4", "--frobnicate")
     assert code == 2
+
+
+# ------------------------------------------------- one parser branch
+
+LEAVES = [["show"], ["dual"], ["truncate"], ["augment"],
+          ["apollonian", "generate"], ["apollonian", "check"],
+          ["cdc", "enumerate"], ["cdc", "validate"], ["cdc", "translate"],
+          ["verify", "square"], ["verify", "prop41"], ["census"]]
+GROUPS = [["apollonian"], ["cdc"], ["verify"]]
+
+
+def _parser_cases(tmp_path):
+    """Help at every level, bad and missing commands, ``--``, options
+    before the command, and one valid run of each leaf command."""
+    ap = tmp_path / "ap.json"
+    ap.write_text(dumps(map_to_json(select("apollonian:0,1"))))
+    cover = tmp_path / "cover.json"
+    cover.write_text(dumps(cover_to_json(facial_cover(k4()), "k4", k4())))
+    mt, _ = complete_truncation(k4())
+    tcover = tmp_path / "tcover.json"
+    tcover.write_text(dumps(cover_to_json(facial_cover(mt), "(k4)^t", mt)))
+    generated = tmp_path / "generated.json"
+    usage = [[], ["-h"], ["--help"], ["--version"], ["--"],
+             ["--", "show", "k4"], ["--out", "x", "show", "k4"],
+             ["-x", "verify", "square", "k4"], ["-1"], [""], ["sho", "k4"],
+             ["nope"], ["-h", "verify"], ["--version", "show"],
+             ["show", "k4", "--version"], ["show", "k4", "junk"],
+             ["verify", "--", "square", "k4"], ["verify", "generate"],
+             ["apollonian", "square"], ["cdc", "--version"],
+             ["apollonian", "gen"], ["census", "--workers", "0"]]
+    usage += [group + flag for group in GROUPS for flag in ([], ["-h"])]
+    usage += [leaf + ["-h"] for leaf in LEAVES]
+    runs = [["show", "k4"], ["dual", "prism"],
+            ["truncate", "k4", "--vertex", "1"],
+            ["augment", "k4", "--face", "0"],
+            ["apollonian", "generate", "--stacks", "3", "--seed", "2",
+             "--out", str(generated)],
+            ["apollonian", "check", str(ap)],
+            ["cdc", "enumerate", "prism"],
+            ["cdc", "validate", "k4", "--cover", str(cover)],
+            ["cdc", "translate", "k4", "--cover", str(tcover)],
+            ["verify", "square", "k4"],
+            ["verify", "prop41", "--seeds", "0..3", "--stacks", "4"],
+            ["census", "--corpus", "k4", "prism", "--workers", "1"]]
+    return usage, runs
+
+
+def _run_main(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    try:
+        out = dumps(strip_timing(json.loads(out)))
+    except ValueError:
+        pass
+    return code, out, err
+
+
+def test_one_branch_parser_matches_the_full_tree(tmp_path, capsys,
+                                                 monkeypatch):
+    usage, runs = _parser_cases(tmp_path)
+    assert len(runs) == len(LEAVES)
+    shipped = [_run_main(capsys, argv) for argv in usage + runs]
+    # help and --version exit 0; the prop41 sweep finds bad edges (1)
+    assert all(code in (0, 2) for code, _, _ in shipped[:len(usage)])
+    assert all(code in (0, 1) for code, _, _ in shipped[len(usage):])
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    for argv, got in zip(usage + runs, shipped):
+        assert _run_main(capsys, argv) == got, argv
+
+
+def test_a_named_command_builds_one_branch():
+    parser = cli.build_parser(["verify", "square", "k4"])
+    (top,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(top.choices) == ["verify"]

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdclab import iso
 from cdclab.apollonian import generate_apollonian
 from cdclab.corpus import (
     cube,
@@ -81,6 +80,34 @@ def test_map_code_separates_same_graph_different_embedding():
     assert map_canonical_code(planar) != map_canonical_code(toroidal)
 
 
+def _bfs_rows(perm: tuple[int, ...], start: int) -> list[tuple[int, int]]:
+    """Dart relabeling rows for one (orientation, start) run.
+
+    Row ``j`` is ``(label of perm(d), label of alpha(d))`` for the dart
+    ``d`` labeled ``j``.
+    """
+    n = len(perm)
+    label = [-1] * n
+    order = [0] * n
+    label[start] = 0
+    order[0] = start
+    assigned = 1
+    rows: list[tuple[int, int]] = []
+    for j in range(n):
+        d = order[j]
+        nxt, opp = perm[d], d ^ 1
+        if label[nxt] < 0:
+            label[nxt] = assigned
+            order[assigned] = nxt
+            assigned += 1
+        if label[opp] < 0:
+            label[opp] = assigned
+            order[assigned] = opp
+            assigned += 1
+        rows.append((label[nxt], label[opp]))
+    return rows
+
+
 def _all_starts_code(m):
     """The map code as the least run over every start dart in both
     orientations, with no start pruned."""
@@ -90,7 +117,7 @@ def _all_starts_code(m):
     best = None
     for perm in (m.sigma, tuple(sigma_inv)):
         for start in range(m.dart_count):
-            rows = iso._bfs_rows(perm, start)
+            rows = _bfs_rows(perm, start)
             if best is None or rows < best:
                 best = rows
     return b"M1" + struct.pack(">I", m.dart_count) + \
