@@ -20,8 +20,10 @@ for name in ("k4", "prism", "cube", "wheel:4"):
 
 # the count is exactly 1 precisely when the planar dual is an
 # Apollonian network: K4 and the prism qualify (duals K4 and the
-# bipyramid), the cube and wheels do not.  the census stops at the
-# second cover, so a larger count shows as the lower bound "2+"
+# bipyramid), the cube and wheels do not.  the census decides a cubic
+# host on its core (triangles contracted) and a non-cubic one by two
+# checked covers, and never counts past the second cover, so a larger
+# count shows as the lower bound "2+"
 from cdclab.census import census_entry
 
 for name in ("k4", "prism", "cube", "apollonian-dual:0,1,2"):

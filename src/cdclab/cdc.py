@@ -297,13 +297,75 @@ def facial_cover(m: PlanarMap) -> CircuitDoubleCover:
     """The cover formed by all face boundaries, oriented by the face
     walks themselves (hence always orientable for a valid simple map
     whose faces repeat no edge)."""
-    circuits = []
-    orientation = []
-    for f in m.faces:
-        arcs = {(m.vertex_of[d], m.vertex_of[alpha(d)]) for d in f.darts}
-        circuits.append([(u, v) for u, v in arcs])
-        orientation.append(arcs)
-    return CircuitDoubleCover.build(circuits, orientation)
+    arcs = [{(m.vertex_of[d], m.vertex_of[alpha(d)]) for d in f.darts}
+            for f in m.faces]
+    return CircuitDoubleCover.build(arcs, arcs)
+
+
+def _regrouped_cover(m: PlanarMap) -> CircuitDoubleCover | None:
+    """The facial cover with two faces at one vertex merged into one
+    circuit, or None when no vertex has degree 4 or more.
+
+    At the least vertex v of degree >= 4, the faces of a dart d and of
+    sigma(sigma(d)) are not consecutive at v (``darts_of_vertex`` is in
+    id order, not rotation order), so in a 3-connected map they share
+    only v.  Their union, oriented by both face walks, is a circuit.
+    Callers validate the cover.
+    """
+    v = next((v for v in range(m.vertex_count)
+              if len(m.darts_of_vertex(v)) >= 4), None)
+    if v is None:
+        return None
+    d = m.darts_of_vertex(v)[0]
+    a, b = m.face_of_dart(d), m.face_of_dart(m.sigma[m.sigma[d]])
+    faces = m.faces
+    walks = [f.darts for f in faces if f.index not in (a, b)]
+    walks.append(faces[a].darts + faces[b].darts)
+    arcs = [{(m.vertex_of[e], m.vertex_of[alpha(e)]) for e in w}
+            for w in walks]
+    return CircuitDoubleCover.build(arcs, arcs)
+
+
+def _contract_triangles(g: SimpleGraph) -> tuple[SimpleGraph, int]:
+    """The core of a cubic graph and the number of contractions.
+
+    One triangle at a time, its three vertices become one vertex joined
+    to their outside neighbours; in a cubic graph a triangle is a
+    circuit of every orientable cover, so the count is kept.  This is
+    unstacking in the dual: a 3-connected host's core is K4 iff its
+    dual is Apollonian.  Stops at K4, or at a triangle whose outside
+    neighbours are not distinct.  Only the merged vertex can lie on a
+    new triangle, so only it goes back on the work list.
+    """
+    adj = [set(g.adjacency[v]) for v in range(g.n)]
+    todo = list(range(g.n))
+    left = g.n
+    while todo and left > 4:
+        a = todo.pop()
+        if not adj[a]:
+            continue  # merged into another vertex
+        x, y, z = adj[a]
+        for b, c, a_out in ((x, y, z), (x, z, y), (y, z, x)):
+            if c in adj[b]:
+                break
+        else:
+            continue
+        (b_out,) = adj[b] - {a, c}
+        (c_out,) = adj[c] - {a, b}
+        if len({a_out, b_out, c_out}) < 3:
+            break
+        adj[a] = {a_out, b_out, c_out}
+        for old, out in ((b, b_out), (c, c_out)):
+            adj[out].remove(old)
+            adj[out].add(a)
+            adj[old] = set()
+        left -= 2
+        todo.append(a)
+    keep = [v for v in range(g.n) if adj[v]]
+    new = {v: i for i, v in enumerate(keep)}
+    core = SimpleGraph(len(keep), frozenset(
+        (new[u], new[w]) for u in keep for w in adj[u] if u < w))
+    return core, (g.n - len(keep)) // 2
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Corpus-wide cover census: decide "exactly one cover", compare duals.
 
-Each entry independently searches the orientable circuit double
-covers of one corpus graph and checks the uniqueness law: the count is
-exactly one precisely when the dual is an Apollonian network.  The
-search stops at the second distinct cover, which already decides the
-question; ``cdc enumerate`` gives full counts.  Entries run in a
+Each entry independently decides whether one corpus graph has exactly
+one orientable circuit double cover, and checks the uniqueness law:
+the count is exactly one precisely when the dual is an Apollonian
+network.  A cubic host is decided on its triangle-free core, a
+non-cubic one by two checked covers; the dual is recognised apart, by
+unstacking.  ``cdc enumerate`` gives full counts.  Entries run in a
 process pool; the merged report is deterministic (and, with timing
 stripped, byte-identical) for any worker count.
 """
@@ -14,14 +15,47 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import cache
 from typing import Any, Sequence
 
 from .apollonian import is_apollonian
-from .cdc import DEFAULT_MAX_EDGES, EnumerationResult, enumerate_covers
-from .corpus import default_census_corpus, select
-from .errors import BadEnvironment, EdgeLimitExceeded
+from .cdc import (
+    DEFAULT_MAX_EDGES,
+    EnumerationResult,
+    OrientedCover,
+    _contract_triangles,
+    _regrouped_cover,
+    enumerate_covers,
+    facial_cover,
+    validate_cover,
+    validate_oriented_cover,
+)
+from .corpus import default_census_corpus, k4, select
+from .errors import BadEnvironment, NotSimpleDual, NotThreeConnected
 from .io_formats import report_to_json
-from .planar_map import dualize, underlying_graph
+from .planar_map import PlanarMap, SimpleGraph, dualize, underlying_graph
+
+
+@cache
+def _k4_result() -> EnumerationResult:
+    """K4's search, which decides every cubic host whose core is K4."""
+    return enumerate_covers(underlying_graph(k4()), limit=2)
+
+
+def _certificate(g: SimpleGraph, m: PlanarMap) -> EnumerationResult | None:
+    """The facial and the regrouped cover, as two covers found, or None
+    unless both pass the validators and differ."""
+    covers = (facial_cover(m), _regrouped_cover(m))
+    if covers[1] is None or \
+            covers[0].canonical_form() == covers[1].canonical_form():
+        return None
+    for c in covers:
+        if not validate_cover(g, c.circuits) or validate_oriented_cover(
+                g, c, OrientedCover(c.orientation)):
+            return None
+    return EnumerationResult(covers, False, 0.0, 0, limit_reached=True,
+                             search="certificate")
 
 
 def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
@@ -29,23 +63,39 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
     """Decide whether one corpus entry has exactly one orientable cover,
     and judge it against its dual.
 
-    The search stops at two distinct covers.  An entry is decided when
-    the search finished or reached those two covers; any unfinished
-    search reports its count as a lower bound.  A graph over the edge
-    cap is not searched (0 covers, a lower bound).  Undecided entries
-    get an ``incomplete`` verdict and never count for or against the
-    census.
+    ``timing.search`` names the route.  ``core``: a cubic host
+    contracts its triangles, which keeps the count; a K4 core takes
+    K4's one cover, any other core is searched to two covers.
+    ``certificate``: a non-cubic host has the facial cover and the
+    regrouped one, so at least two.  ``transition``: a non-cubic host
+    whose certificate fails a check (only outside the law's domain) is
+    searched to two covers.  A search that neither finished nor
+    reached two covers, and a graph over the edge cap (0 covers, no
+    route), leave the entry undecided: its count is a lower bound, its
+    verdict ``incomplete``, and it never counts for or against the
+    census.  A map with a dual that is not simple is not 3-connected
+    (Whitney), and raises :class:`NotThreeConnected` naming the entry.
     """
     start = time.monotonic()
     m = select(name)
     g = underlying_graph(m)
     try:
-        result = enumerate_covers(g, orientable_only=True,
-                                  max_edges=max_edges,
-                                  time_budget=time_budget, limit=2)
-    except EdgeLimitExceeded:
+        dual = dualize(m)
+    except NotSimpleDual as exc:
+        raise NotThreeConnected(
+            f"census entry {name!r} is not 3-connected: {exc}") from None
+    dual_apollonian = is_apollonian(underlying_graph(dual))
+    contractions = 0
+    if len(g.edges) > max_edges:
         result = EnumerationResult((), False, 0.0, 0)
-    dual_apollonian = is_apollonian(underlying_graph(dualize(m)))
+    elif all(len(nbrs) == 3 for nbrs in g.adjacency.values()):
+        core, contractions = _contract_triangles(g)
+        result = replace(_k4_result() if core.n == 4 else enumerate_covers(
+            core, max_edges=max_edges, time_budget=time_budget, limit=2),
+            search="core")
+    else:
+        result = _certificate(g, m) or enumerate_covers(
+            g, max_edges=max_edges, time_budget=time_budget, limit=2)
     count = len(result.covers)
     if not (result.complete or result.limit_reached):
         verdict = "incomplete"
@@ -63,7 +113,8 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
         "dual_apollonian": dual_apollonian,
         "verdict": verdict,
         "timing": {"elapsed": round(time.monotonic() - start, 3),
-                   "nodes": result.nodes, "search": result.search},
+                   "nodes": result.nodes, "search": result.search,
+                   "contractions": contractions},
     }
 
 

@@ -357,9 +357,9 @@ def test_census_takes_stacked_selectors(tmp_path, capsys):
     assert entries["apollonian-dual:2,0,3"]["orientable_covers"] == 1
     assert doc["verdict"] == "pass"
     assert {name: e["timing"]["search"] for name, e in entries.items()} == {
-        "apollonian-dual:0,1": "transition",
-        "apollonian-dual:2,0,3": "transition",
-        "wheel:4": "transition"}
+        "apollonian-dual:0,1": "core",
+        "apollonian-dual:2,0,3": "core",
+        "wheel:4": "certificate"}
 
 
 @pytest.mark.parametrize("graph,flags,search", [
@@ -487,6 +487,26 @@ def test_malformed_map_files_are_usage_errors(tmp_path, capsys, argv,
         {"id": v, "rotation": row} for v, row in rotation.items()]}))
     code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
     assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("workers", [["--workers", "1"], []],
+                         ids=["serial", "default"])
+@pytest.mark.parametrize("rotation", [
+    {1: [2, 4], 2: [3, 1], 3: [4, 2], 4: [1, 3]},
+    {1: [3, 4, 5], 2: [5, 4, 3], 3: [1, 2], 4: [1, 2], 5: [1, 2]},
+], ids=["4-cycle", "k23"])
+def test_census_entry_that_is_not_3_connected_fails(tmp_path, capsys,
+                                                    workers, rotation):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"format": MAP_FORMAT, "vertices": [
+        {"id": v, "rotation": row} for v, row in rotation.items()]}))
+    code, out, err = run_cli(capsys, "census", *workers, "--corpus", "k4",
+                             f"@{path}")
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"failed: census entry '@{path}' is not "
+                          "3-connected: ")
     assert out == ""
 
 
