@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from random import Random
 from typing import NamedTuple, Sequence
 
@@ -122,8 +122,7 @@ def apollonian_dual(stacks: Sequence[int] | int, *,
     return dualize(generate_apollonian(stacks, seed=seed))
 
 
-def _unstack(g: SimpleGraph | PlanarMap, rng: Random | None = None
-             ) -> list[tuple[int, int, int]] | None:
+def _unstack(g: SimpleGraph | PlanarMap) -> list[tuple[int, int, int]] | None:
     """Unstack ``g`` down to K4: the sorted neighbourhood of each removed
     vertex, or None when ``g`` does not reduce to K4.
 
@@ -134,17 +133,13 @@ def _unstack(g: SimpleGraph | PlanarMap, rng: Random | None = None
     fall, and a vertex of degree 3 stays removable, or not, until one of
     its neighbours goes.  A min-heap therefore holds the removable
     vertices, each pushed when it reaches degree 3, and every step pops
-    the least one (the least in a random order when ``rng`` is given),
-    skipping those that have lost a neighbour since.  Removing a vertex
-    whose neighbours form a triangle never empties or splits a
-    component, so a disconnected graph never reduces to K4.
+    the least one, skipping those that have lost a neighbour since.
+    Removing a vertex whose neighbours form a triangle never empties or
+    splits a component, so a disconnected graph never reduces to K4.
     """
     if isinstance(g, PlanarMap):
         g = underlying_graph(g)
     adj = [set(g.adjacency[v]) for v in range(g.n)]
-    rank = list(range(g.n))
-    if rng is not None:
-        rng.shuffle(rank)
 
     def removable(v: int) -> bool:
         if len(adj[v]) != 3:
@@ -152,12 +147,12 @@ def _unstack(g: SimpleGraph | PlanarMap, rng: Random | None = None
         a, b, c = adj[v]
         return b in adj[a] and c in adj[a] and c in adj[b]
 
-    heap = [(rank[v], v) for v in range(g.n) if removable(v)]
-    heapify(heap)
+    # Ascending, so already a heap.
+    heap = [v for v in range(g.n) if removable(v)]
     removed: list[tuple[int, int, int]] = []
     left, edges = g.n, len(g.edges)
     while left > 4 and heap:
-        v = heappop(heap)[1]
+        v = heappop(heap)
         nbrs = adj[v]
         if len(nbrs) != 3:
             continue
@@ -166,19 +161,14 @@ def _unstack(g: SimpleGraph | PlanarMap, rng: Random | None = None
         for u in nbrs:
             adj[u].discard(v)
             if removable(u):
-                heappush(heap, (rank[u], u))
+                heappush(heap, u)
     # K4 is the only simple graph with 4 vertices and 6 edges.
     return removed if (left, edges) == (4, 6) else None
 
 
-def is_apollonian(g: SimpleGraph | PlanarMap,
-                  rng: Random | None = None) -> bool:
-    """Whether ``g`` reduces to K4 by unstacking degree-3 vertices.
-
-    ``rng`` only shuffles the removal order (used by confluence tests);
-    the verdict must not depend on it.
-    """
-    return _unstack(g, rng) is not None
+def is_apollonian(g: SimpleGraph | PlanarMap) -> bool:
+    """Whether ``g`` reduces to K4 by unstacking degree-3 vertices."""
+    return _unstack(g) is not None
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,17 @@ one orientable circuit double cover, and checks the uniqueness law:
 the count is exactly one precisely when the dual is an Apollonian
 network.  A cubic host is decided on its triangle-free core, a
 non-cubic one by two checked covers; the dual is recognised apart, by
-unstacking.  ``cdc enumerate`` gives full counts.  Entries run in a
-process pool; the merged report is deterministic (and, with timing
-stripped, byte-identical) for any worker count.
+unstacking.  ``cdc enumerate`` gives full counts.  With more than one
+worker, entries run in a process pool, and only then is the pool
+machinery (``concurrent.futures``, ``multiprocessing``) imported; the
+merged report is deterministic (and, with timing stripped,
+byte-identical) for any worker count.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import cache
 from typing import Any, Sequence
@@ -34,7 +35,13 @@ from .cdc import (
 from .corpus import default_census_corpus, k4, select
 from .errors import BadEnvironment, NotSimpleDual, NotThreeConnected
 from .io_formats import report_to_json
-from .planar_map import PlanarMap, SimpleGraph, dualize, underlying_graph
+from .planar_map import (
+    PlanarMap,
+    SimpleGraph,
+    dualize,
+    is_3_connected,
+    underlying_graph,
+)
 
 
 @cache
@@ -74,7 +81,11 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
     route), leave the entry undecided: its count is a lower bound, its
     verdict ``incomplete``, and it never counts for or against the
     census.  A map with a dual that is not simple is not 3-connected
-    (Whitney), and raises :class:`NotThreeConnected` naming the entry.
+    (Whitney), and raises :class:`NotThreeConnected` naming the entry;
+    so does a non-cubic map that fails :func:`is_3_connected`.  A cubic
+    map needs no further check: a simple dual rules out a bridge and a
+    2-edge cut, and a cubic graph's vertex connectivity equals its edge
+    connectivity.
     """
     start = time.monotonic()
     m = select(name)
@@ -84,11 +95,16 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
     except NotSimpleDual as exc:
         raise NotThreeConnected(
             f"census entry {name!r} is not 3-connected: {exc}") from None
+    cubic = all(len(nbrs) == 3 for nbrs in g.adjacency.values())
+    if not cubic and not is_3_connected(m):
+        raise NotThreeConnected(
+            f"census entry {name!r} is not 3-connected: "
+            "two of its vertices separate it")
     dual_apollonian = is_apollonian(underlying_graph(dual))
     contractions = 0
     if len(g.edges) > max_edges:
         result = EnumerationResult((), False, 0.0, 0)
-    elif all(len(nbrs) == 3 for nbrs in g.adjacency.values()):
+    elif cubic:
         core, contractions = _contract_triangles(g)
         result = replace(_k4_result() if core.n == 4 else enumerate_covers(
             core, max_edges=max_edges, time_budget=time_budget, limit=2),
@@ -154,6 +170,8 @@ def run_census(
     The verdict is "pass" when every decided entry satisfies the
     uniqueness law, "fail" when any decided entry breaks it.
     ``completed`` counts the decided entries, see :func:`census_entry`.
+    A pool starts, and its machinery is imported, only when
+    :func:`worker_count` resolves to more than one worker.
     """
     names = list(corpus) if corpus is not None else default_census_corpus()
     start = time.monotonic()
@@ -162,6 +180,7 @@ def run_census(
     if pool_size == 1:
         entries = [census_entry(*a) for a in args]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             entries = list(pool.map(_entry_args, args))
 

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,9 +203,9 @@ def test_apollonian_check_recognises_once(tmp_path, capsys, monkeypatch):
     calls = []
     recognise = cdclab.apollonian._unstack
 
-    def counting(g, rng=None):
+    def counting(g):
         calls.append(g)
-        return recognise(g, rng)
+        return recognise(g)
 
     monkeypatch.setattr(cdclab.apollonian, "_unstack", counting)
     for name, exit_code in (("apollonian:0,1,2", 0), ("cube", 1)):
@@ -422,6 +426,27 @@ def test_census_entry_over_the_edge_cap_is_incomplete(tmp_path, capsys):
     assert doc["incomplete"] == sorted(doc["corpus"])
 
 
+_SERIAL_CENSUS_IMPORTS = """
+import sys
+import cdclab, cdclab.cli
+code = cdclab.cli.main(["census", "--workers", "1", "--corpus", "k4",
+                        "wheel:4", "--out", sys.argv[1]])
+print(code, sorted(m for m in ("concurrent.futures", "multiprocessing")
+                   if m in sys.modules))
+"""
+
+
+def test_serial_census_loads_no_pool_machinery(tmp_path):
+    # the pool, and multiprocessing under it, load only when one starts
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _SERIAL_CENSUS_IMPORTS,
+         str(tmp_path / "census.json")], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"
+
+
 def test_default_census_decides_at_two_covers(tmp_path, capsys):
     path = tmp_path / "census.json"
     code, _, _ = run_cli(capsys, "census", "--workers", "1",
@@ -490,12 +515,19 @@ def test_malformed_map_files_are_usage_errors(tmp_path, capsys, argv,
     assert out == ""
 
 
-@pytest.mark.parametrize("workers", [["--workers", "1"], []],
-                         ids=["serial", "default"])
+@pytest.mark.parametrize("workers", [
+    ["--workers", "1"], [],
+    # refused before the edge cap, which would leave it undecided
+    ["--workers", "1", "--max-edges", "0"],
+], ids=["serial", "default", "serial-over-cap"])
 @pytest.mark.parametrize("rotation", [
     {1: [2, 4], 2: [3, 1], 3: [4, 2], 4: [1, 3]},
     {1: [3, 4, 5], 2: [5, 4, 3], 3: [1, 2], 4: [1, 2], 5: [1, 2]},
-], ids=["4-cycle", "k23"])
+    # two copies of K4 minus an edge glued at that edge's ends: non-cubic,
+    # 2-connected, and its dual is simple
+    {1: [3, 4, 5, 6], 2: [3, 6, 5, 4], 3: [1, 2, 4], 4: [1, 3, 2],
+     5: [1, 2, 6], 6: [1, 5, 2]},
+], ids=["4-cycle", "k23", "glued-k4-minus-edge"])
 def test_census_entry_that_is_not_3_connected_fails(tmp_path, capsys,
                                                     workers, rotation):
     path = tmp_path / "map.json"
