@@ -5,19 +5,19 @@ one orientable circuit double cover, and checks the uniqueness law:
 the count is exactly one precisely when the dual is an Apollonian
 network.  A cubic host is decided on its triangle-free core, a
 non-cubic one by two checked covers; the dual is recognised apart, by
-unstacking.  ``cdc enumerate`` gives full counts.  With more than one
-worker, entries run in a process pool, and only then is the pool
-machinery (``concurrent.futures``, ``multiprocessing``) imported; the
-merged report is deterministic (and, with timing stripped,
-byte-identical) for any worker count.
+unstacking.  ``cdc enumerate`` gives full counts.  Entries run
+serially; only with more than one worker do they run in a process
+pool, and only then is the pool machinery (``concurrent.futures``,
+``multiprocessing``) imported.  The merged report is deterministic
+(and, with timing stripped, byte-identical) for any worker count.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
 from functools import cache
+from itertools import repeat
 from typing import Any, Sequence
 
 from .apollonian import is_apollonian
@@ -33,7 +33,7 @@ from .cdc import (
     validate_oriented_cover,
 )
 from .corpus import default_census_corpus, k4, select
-from .errors import BadEnvironment, NotSimpleDual, NotThreeConnected
+from .errors import InvalidCover, NotSimpleDual, NotThreeConnected
 from .io_formats import report_to_json
 from .planar_map import (
     PlanarMap,
@@ -50,17 +50,18 @@ def _k4_result() -> EnumerationResult:
     return enumerate_covers(underlying_graph(k4()), limit=2)
 
 
-def _certificate(g: SimpleGraph, m: PlanarMap) -> EnumerationResult | None:
-    """The facial and the regrouped cover, as two covers found, or None
-    unless both pass the validators and differ."""
+def _certificate(name: str, g: SimpleGraph,
+                 m: PlanarMap) -> EnumerationResult:
+    """The facial and the regrouped cover, as two covers found; raises
+    :class:`InvalidCover` naming the entry unless both pass the
+    validators and differ, as they do on any 3-connected plane map."""
     covers = (facial_cover(m), _regrouped_cover(m))
     if covers[1] is None or \
-            covers[0].canonical_form() == covers[1].canonical_form():
-        return None
-    for c in covers:
-        if not validate_cover(g, c.circuits) or validate_oriented_cover(
-                g, c, OrientedCover(c.orientation)):
-            return None
+            covers[0].canonical_form() == covers[1].canonical_form() or \
+            any(not validate_cover(g, c.circuits) or validate_oriented_cover(
+                g, c, OrientedCover(c.orientation)) for c in covers):
+        raise InvalidCover(f"census entry {name!r}: its two-cover "
+                           "certificate fails a check")
     return EnumerationResult(covers, False, 0.0, 0, limit_reached=True,
                              search="certificate")
 
@@ -74,18 +75,17 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
     contracts its triangles, which keeps the count; a K4 core takes
     K4's one cover, any other core is searched to two covers.
     ``certificate``: a non-cubic host has the facial cover and the
-    regrouped one, so at least two.  ``transition``: a non-cubic host
-    whose certificate fails a check (only outside the law's domain) is
-    searched to two covers.  A search that neither finished nor
-    reached two covers, and a graph over the edge cap (0 covers, no
-    route), leave the entry undecided: its count is a lower bound, its
-    verdict ``incomplete``, and it never counts for or against the
-    census.  A map with a dual that is not simple is not 3-connected
-    (Whitney), and raises :class:`NotThreeConnected` naming the entry;
-    so does a non-cubic map that fails :func:`is_3_connected`.  A cubic
-    map needs no further check: a simple dual rules out a bridge and a
-    2-edge cut, and a cubic graph's vertex connectivity equals its edge
-    connectivity.
+    regrouped one, so at least two; a certificate that fails a check
+    raises :class:`InvalidCover` naming the entry.  A search that
+    neither finished nor reached two covers, and a graph over the edge
+    cap (0 covers, no route), leave the entry undecided: its count is
+    a lower bound, its verdict ``incomplete``, and it never counts for
+    or against the census.  A map with a dual that is not simple is
+    not 3-connected (Whitney), and raises :class:`NotThreeConnected`
+    naming the entry; so does a non-cubic map that fails
+    :func:`is_3_connected`.  A cubic map needs no further check: a
+    simple dual rules out a bridge and a 2-edge cut, and a cubic
+    graph's vertex connectivity equals its edge connectivity.
     """
     start = time.monotonic()
     m = select(name)
@@ -110,8 +110,7 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
             core, max_edges=max_edges, time_budget=time_budget, limit=2),
             search="core")
     else:
-        result = _certificate(g, m) or enumerate_covers(
-            g, max_edges=max_edges, time_budget=time_budget, limit=2)
+        result = _certificate(name, g, m)
     count = len(result.covers)
     if not (result.complete or result.limit_reached):
         verdict = "incomplete"
@@ -134,55 +133,31 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
     }
 
 
-def _entry_args(args: tuple[str, int, float | None]) -> dict[str, Any]:
-    return census_entry(*args)
-
-
-def worker_count(requested: int | None, tasks: int) -> int:
-    """Resolve the pool size from the request and CDCLAB_THREADS.
-
-    Raises :class:`BadEnvironment` unless CDCLAB_THREADS, when set, is
-    a positive integer.
-    """
-    count = requested if requested and requested > 0 else (os.cpu_count() or 1)
-    cap = os.environ.get("CDCLAB_THREADS")
-    if cap:
-        try:
-            limit = int(cap)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise BadEnvironment(
-                f"CDCLAB_THREADS must be a positive integer, got {cap!r}")
-        count = min(count, limit)
-    return max(1, min(count, tasks))
-
-
 def run_census(
     corpus: Sequence[str] | None = None,
     *,
     max_edges: int = DEFAULT_MAX_EDGES,
     time_budget: float | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict[str, Any]:
     """Run the census over ``corpus`` (default corpus when omitted).
 
     The verdict is "pass" when every decided entry satisfies the
     uniqueness law, "fail" when any decided entry breaks it.
     ``completed`` counts the decided entries, see :func:`census_entry`.
-    A pool starts, and its machinery is imported, only when
-    :func:`worker_count` resolves to more than one worker.
+    A pool of at most one process per entry starts, and its machinery
+    is imported, only when more than one worker is asked for.
     """
     names = list(corpus) if corpus is not None else default_census_corpus()
     start = time.monotonic()
-    pool_size = worker_count(workers, len(names))
-    args = [(name, max_edges, time_budget) for name in names]
+    pool_size = max(1, min(workers, len(names)))
+    args = (names, repeat(max_edges), repeat(time_budget))
     if pool_size == 1:
-        entries = [census_entry(*a) for a in args]
+        entries = list(map(census_entry, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            entries = list(pool.map(_entry_args, args))
+            entries = list(pool.map(census_entry, *args))
 
     failed = [e["name"] for e in entries if e["verdict"] == "fail"]
     incomplete = [e["name"] for e in entries if e["verdict"] == "incomplete"]

@@ -32,7 +32,6 @@ from .cdc import (
 from .census import run_census
 from .corpus import select
 from .errors import (
-    BadEnvironment,
     BadSelector,
     CdcLabError,
     EdgeLimitExceeded,
@@ -485,7 +484,8 @@ def build_parser(argv: Sequence[str] | None = None
                        default=DEFAULT_MAX_EDGES)
         p.add_argument("--budget", type=_budget, default=None,
                        help="time budget in seconds per entry")
-        p.add_argument("--workers", type=_at_least(1), default=None)
+        p.add_argument("--workers", type=_at_least(1), default=1,
+                       help="census processes (default 1)")
         add_out(p)
         p.set_defaults(func=_cmd_census)
 
@@ -502,7 +502,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return ns.func(ns)
-    except (BadSelector, BadEnvironment, UnknownEdge) as exc:
+    except (BadSelector, UnknownEdge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EdgeLimitExceeded, TimeBudgetExceeded) as exc:

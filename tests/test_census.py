@@ -1,4 +1,4 @@
-"""The census's three routes, each against the search it replaced."""
+"""The census's two routes, each against the search it replaced."""
 
 import time
 from random import Random
@@ -23,11 +23,12 @@ from cdclab.cdc import (
 )
 from cdclab import census
 from cdclab.census import census_entry
-from cdclab.corpus import default_census_corpus, select
-from cdclab.errors import EdgeLimitExceeded
+from cdclab.cli import main
+from cdclab.corpus import default_census_corpus, prism, select
+from cdclab.errors import EdgeLimitExceeded, InvalidCover
 from cdclab.io_formats import strip_timing
 from cdclab.planar_map import SimpleGraph, dualize, underlying_graph
-from cdclab.surgery import complete_truncation
+from cdclab.surgery import complete_augmentation, complete_truncation
 
 STACKED = ["apollonian-dual:0,0,0", "apollonian-dual:1,2,3",
            "apollonian-dual:3,5,7", "apollonian-dual:2,4,1"]
@@ -87,12 +88,16 @@ def test_routes_match_the_search(max_edges):
 
 @pytest.mark.parametrize("stand_in", [lambda m: None, facial_cover],
                          ids=["no-certificate", "facial-again"])
-def test_a_failed_certificate_falls_back_to_the_search(monkeypatch,
-                                                      stand_in):
+def test_a_failed_certificate_fails_the_entry(monkeypatch, capsys, stand_in):
     monkeypatch.setattr(census, "_regrouped_cover", stand_in)
-    entry = census_entry("wheel:4")
-    assert entry["timing"]["search"] == "transition"
-    assert strip_timing(entry) == _searched_entry("wheel:4", 16)
+    with pytest.raises(InvalidCover, match="census entry 'wheel:4': "):
+        census_entry("wheel:4")
+    code = main(["census", "--corpus", "k4", "wheel:4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("failed: census entry 'wheel:4': its two-cover "
+                            "certificate fails a check\n")
+    assert captured.out == ""
 
 
 def _truncations():
@@ -178,22 +183,47 @@ def _checked(g, cover):
         g, cover, OrientedCover(cover.orientation)) == []
 
 
-@pytest.mark.parametrize("stacks", [3, 10, 50, 200])
-def test_certificate_is_a_second_orientable_cover(stacks):
-    for seed in range(3):
-        m = generate_apollonian(stacks, seed=seed)
+def _surgery_hosts():
+    names = ["k4", "prism", "cube", "octahedron", "wheel:4", "wheel:5"]
+    return [(name, select(name)) for name in names] + \
+        [(f"prism{n}", prism(n)) for n in (5, 7)]
+
+
+def _non_cubic_hosts(family):
+    """3-connected non-cubic plane maps, the law's non-cubic domain."""
+    if isinstance(family, int):
+        return [(f"{family} stacks, seed {s}", generate_apollonian(
+            family, seed=s)) for s in range(3)]
+    if family == "wheels":
+        return [(f"wheel:{n}", select(f"wheel:{n}")) for n in range(4, 61)]
+    if family == "bipyramids":
+        return [(f"prism{n}*", dualize(prism(n))) for n in range(3, 30)]
+    if family == "augmentations":
+        return [(f"{name}^a", complete_augmentation(m)[0])
+                for name, m in _surgery_hosts()]
+    # complete truncations are cubic, so their duals are triangulations
+    return [(f"{name}^t*", dualize(complete_truncation(m)[0]))
+            for name, m in _surgery_hosts()]
+
+
+@pytest.mark.parametrize("family", [3, 10, 50, 200, "wheels", "bipyramids",
+                                    "augmentations", "truncation-duals"])
+def test_certificate_is_a_second_orientable_cover(family):
+    for name, m in _non_cubic_hosts(family):
         g = underlying_graph(m)
+        assert not _cubic(g), name
         cover = _regrouped_cover(m)
         _checked(g, cover)
         facial = facial_cover(m)
-        assert cover.canonical_form() != facial.canonical_form()
-        assert cover.k == facial.k - 1
+        assert cover.canonical_form() != facial.canonical_form(), name
+        assert cover.k == facial.k - 1, name
+        assert len(census._certificate(name, g, m).covers) == 2, name
 
 
 def test_certificate_is_among_the_searched_covers():
     forms_by_edges = {}
-    for name in ("wheel:4", "wheel:5", "wheel:6", "octahedron", "k222",
-                 "apollonian:0", "apollonian:0,1"):
+    for name in ("wheel:4", "wheel:5", "wheel:6", "wheel:7", "wheel:8",
+                 "octahedron", "k222", "apollonian:0", "apollonian:0,1"):
         m = select(name)
         g = underlying_graph(m)
         if g.edges not in forms_by_edges:

@@ -12,10 +12,9 @@ import pytest
 import cdclab.apollonian
 from cdclab import cli
 from cdclab.cdc import CircuitDoubleCover, check_orientability, facial_cover
-from cdclab.census import worker_count
 from cdclab.cli import main
 from cdclab.corpus import k4, select
-from cdclab.errors import BadEnvironment, BadSelector, UnknownEdge
+from cdclab.errors import BadSelector, UnknownEdge
 from cdclab.io_formats import (
     COVER_FORMAT,
     MAP_FORMAT,
@@ -427,24 +426,30 @@ def test_census_entry_over_the_edge_cap_is_incomplete(tmp_path, capsys):
 
 
 _SERIAL_CENSUS_IMPORTS = """
-import sys
+import json, sys
 import cdclab, cdclab.cli
-code = cdclab.cli.main(["census", "--workers", "1", "--corpus", "k4",
+code = cdclab.cli.main(["census", *sys.argv[2:], "--corpus", "k4",
                         "wheel:4", "--out", sys.argv[1]])
-print(code, sorted(m for m in ("concurrent.futures", "multiprocessing")
-                   if m in sys.modules))
+with open(sys.argv[1]) as f:
+    workers = json.load(f)["timing"]["workers"]
+print(code, workers, sorted(m for m in ("concurrent.futures",
+                                        "multiprocessing")
+                            if m in sys.modules))
 """
 
 
 def test_serial_census_loads_no_pool_machinery(tmp_path):
-    # the pool, and multiprocessing under it, load only when one starts
+    # the pool, and multiprocessing under it, load only when one starts;
+    # a census with no --workers is serial
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", _SERIAL_CENSUS_IMPORTS,
-         str(tmp_path / "census.json")], capture_output=True, text=True,
-        timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 []\n"
+    for workers in (["--workers", "1"], []):
+        done = subprocess.run(
+            [sys.executable, "-c", _SERIAL_CENSUS_IMPORTS,
+             str(tmp_path / "census.json"), *workers], capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0 1 []\n", workers
 
 
 def test_default_census_decides_at_two_covers(tmp_path, capsys):
@@ -516,10 +521,10 @@ def test_malformed_map_files_are_usage_errors(tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("workers", [
-    ["--workers", "1"], [],
+    ["--workers", "1"], [], ["--workers", "2"],
     # refused before the edge cap, which would leave it undecided
     ["--workers", "1", "--max-edges", "0"],
-], ids=["serial", "default", "serial-over-cap"])
+], ids=["serial", "default", "pool", "serial-over-cap"])
 @pytest.mark.parametrize("rotation", [
     {1: [2, 4], 2: [3, 1], 3: [4, 2], 4: [1, 3]},
     {1: [3, 4, 5], 2: [5, 4, 3], 3: [1, 2], 4: [1, 2], 5: [1, 2]},
@@ -594,22 +599,6 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert_one_line_usage_error(code, err)
     assert out == ""
-
-
-@pytest.mark.parametrize("value", ["junk", "0", "-3", "1.5"])
-def test_junk_thread_cap_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("CDCLAB_THREADS", value)
-    with pytest.raises(BadEnvironment):
-        worker_count(None, 4)
-    code, out, err = run_cli(capsys, "census", "--corpus", "k4")
-    assert_one_line_usage_error(code, err)
-    assert "CDCLAB_THREADS" in err
-    assert out == ""
-
-
-def test_thread_cap_limits_workers(monkeypatch):
-    monkeypatch.setenv("CDCLAB_THREADS", "1")
-    assert worker_count(8, 4) == 1
 
 
 def test_usage_error_on_missing_subcommand(capsys):
