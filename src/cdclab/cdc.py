@@ -652,9 +652,8 @@ class EnumerationResult:
     False when the time budget ran out or when the cover limit was
     reached (then ``limit_reached`` is True); the covers found so far
     are still returned (a lower bound, never silently truncated).
-    ``search`` names the route: the enumerator that ran
-    (``"transition"`` or ``"slot"``), or in the census ``"core"`` or
-    ``"certificate"`` (None when no search ran).
+    ``search`` names the enumerator that ran: ``"transition"`` or
+    ``"slot"``.
     """
 
     covers: tuple[CircuitDoubleCover, ...]

@@ -15,7 +15,6 @@ pool, and only then is the pool machinery (``concurrent.futures``,
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from functools import cache
 from itertools import repeat
 from typing import Any, Sequence
@@ -23,6 +22,7 @@ from typing import Any, Sequence
 from .apollonian import is_apollonian
 from .cdc import (
     DEFAULT_MAX_EDGES,
+    CircuitDoubleCover,
     EnumerationResult,
     OrientedCover,
     _contract_triangles,
@@ -50,11 +50,11 @@ def _k4_result() -> EnumerationResult:
     return enumerate_covers(underlying_graph(k4()), limit=2)
 
 
-def _certificate(name: str, g: SimpleGraph,
-                 m: PlanarMap) -> EnumerationResult:
-    """The facial and the regrouped cover, as two covers found; raises
-    :class:`InvalidCover` naming the entry unless both pass the
-    validators and differ, as they do on any 3-connected plane map."""
+def _certificate(name: str, g: SimpleGraph, m: PlanarMap
+                 ) -> tuple[CircuitDoubleCover, CircuitDoubleCover]:
+    """The facial and the regrouped cover; raises :class:`InvalidCover`
+    naming the entry unless both pass the validators and differ, as
+    they do on any 3-connected plane map."""
     covers = (facial_cover(m), _regrouped_cover(m))
     if covers[1] is None or \
             covers[0].canonical_form() == covers[1].canonical_form() or \
@@ -62,8 +62,7 @@ def _certificate(name: str, g: SimpleGraph,
                 g, c, OrientedCover(c.orientation)) for c in covers):
         raise InvalidCover(f"census entry {name!r}: its two-cover "
                            "certificate fails a check")
-    return EnumerationResult(covers, False, 0.0, 0, limit_reached=True,
-                             search="certificate")
+    return covers
 
 
 def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
@@ -103,16 +102,17 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
     dual_apollonian = is_apollonian(underlying_graph(dual))
     contractions = 0
     if len(g.edges) > max_edges:
-        result = EnumerationResult((), False, 0.0, 0)
+        count, complete, nodes, search = 0, False, 0, None
     elif cubic:
         core, contractions = _contract_triangles(g)
-        result = replace(_k4_result() if core.n == 4 else enumerate_covers(
-            core, max_edges=max_edges, time_budget=time_budget, limit=2),
-            search="core")
+        result = _k4_result() if core.n == 4 else enumerate_covers(
+            core, max_edges=max_edges, time_budget=time_budget, limit=2)
+        count, complete = len(result.covers), result.complete
+        nodes, search = result.nodes, "core"
     else:
-        result = _certificate(name, g, m)
-    count = len(result.covers)
-    if not (result.complete or result.limit_reached):
+        count = len(_certificate(name, g, m))
+        complete, nodes, search = False, 0, "certificate"
+    if not (complete or count > 1):
         verdict = "incomplete"
     elif (count == 1) == dual_apollonian:
         verdict = "pass"
@@ -123,12 +123,12 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
         "vertices": g.n,
         "edges": len(g.edges),
         "orientable_covers": count,
-        "count_is_lower_bound": not result.complete,
-        "complete": result.complete,
+        "count_is_lower_bound": not complete,
+        "complete": complete,
         "dual_apollonian": dual_apollonian,
         "verdict": verdict,
         "timing": {"elapsed": round(time.monotonic() - start, 3),
-                   "nodes": result.nodes, "search": result.search,
+                   "nodes": nodes, "search": search,
                    "contractions": contractions},
     }
 

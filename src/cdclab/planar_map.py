@@ -122,10 +122,8 @@ class PlanarMap:
         if len(reached) != n_darts:
             raise Disconnected("the map is not connected")
 
-        genus = self.euler_genus()
-        if require_planar and genus:
-            raise NonPlanarEmbedding(
-                f"rotation system has Euler genus {genus}, not 0")
+        if require_planar:
+            _require_genus_0(self)
 
     @classmethod
     def _derived(cls, sigma: Sequence[int], vertex_of: Sequence[int],
@@ -399,6 +397,13 @@ def _dart_numbering(
     return sigma, vertex_of
 
 
+def _require_genus_0(m: PlanarMap) -> None:
+    genus = m.euler_genus()
+    if genus:
+        raise NonPlanarEmbedding(
+            f"rotation system has Euler genus {genus}, not 0")
+
+
 def mirror(m: PlanarMap) -> PlanarMap:
     """The same embedding with reversed global orientation."""
     inv = [0] * m.dart_count
@@ -430,10 +435,7 @@ def dualize(m: PlanarMap) -> PlanarMap:
         if pair in seen_pairs:
             raise NotSimpleDual(f"faces {pair} share more than one edge")
         seen_pairs.add(pair)
-    genus = m.euler_genus()
-    if genus:
-        raise NonPlanarEmbedding(
-            f"rotation system has Euler genus {genus}, not 0")
+    _require_genus_0(m)
 
     sigma_star = [m.sigma[d ^ 1] for d in range(m.dart_count)]
     return PlanarMap._derived(sigma_star, face_of)
@@ -442,55 +444,6 @@ def dualize(m: PlanarMap) -> PlanarMap:
 def underlying_graph(m: PlanarMap) -> SimpleGraph:
     """Forget the embedding, keep the abstract simple graph."""
     return SimpleGraph(m.vertex_count, frozenset(m.edges()))
-
-
-def _has_cut_vertex(g: SimpleGraph, banned: int) -> bool:
-    """Does ``g - banned`` have an articulation vertex (or fall apart)?"""
-    adj = g.adjacency
-    alive = [v for v in range(g.n) if v != banned]
-    if len(alive) < 3:
-        return False
-    root = alive[0]
-
-    # Iterative lowpoint DFS over g - banned.
-    disc = {v: 0 for v in alive}
-    low = {}
-    parent = {root: None}
-    order = 0
-    stack = [(root, iter(adj[root]))]
-    disc[root] = low[root] = order = 1
-    root_children = 0
-    visited = 1
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == banned:
-                continue
-            if disc[w] == 0:
-                parent[w] = v
-                if v == root:
-                    root_children += 1
-                order += 1
-                visited += 1
-                disc[w] = low[w] = order
-                stack.append((w, iter(adj[w])))
-                advanced = True
-                break
-            elif w != parent[v]:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if not advanced:
-            stack.pop()
-            p = parent[v]
-            if p is not None:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p != root and low[v] >= disc[p]:
-                    return True
-    if visited != len(alive):
-        return True  # g - banned is already disconnected
-    return root_children > 1
 
 
 def _polyhedral(m: PlanarMap) -> bool:
@@ -533,28 +486,19 @@ def _polyhedral(m: PlanarMap) -> bool:
     return cycles == m.edge_count
 
 
-def is_3_connected(g: SimpleGraph | PlanarMap) -> bool:
-    """Whether the graph survives deletion of any two vertices.
+def is_3_connected(m: PlanarMap) -> bool:
+    """Whether the plane map survives deletion of any two vertices.
 
-    Raises :class:`TooSmall` below four vertices.  A plane map is
-    decided from its faces in time linear in the map
-    (:func:`_polyhedral`).  A :class:`SimpleGraph`, and a map of
-    positive genus, whose faces cannot decide it, are checked for
-    every vertex ``u``: ``g - u`` must be connected and free of
-    articulation points, which is the same as testing every vertex
-    pair, and one lowpoint DFS of ``g - u`` answers both.
+    Decided from the faces in time linear in the map
+    (:func:`_polyhedral`).  Raises :class:`TooSmall` below four
+    vertices and :class:`NonPlanarEmbedding` for a map of positive
+    genus, whose faces cannot decide it.
     """
-    if isinstance(g, PlanarMap):
-        if g.vertex_count >= 4 and g.euler_genus() == 0:
-            return _polyhedral(g)
-        g = underlying_graph(g)
-    if g.n < 4:
-        raise TooSmall(f"3-connectivity needs at least 4 vertices, got {g.n}")
-    if not g.is_connected():
-        return False
-    if min(g.degree(v) for v in range(g.n)) < 3:
-        return False
-    return not any(_has_cut_vertex(g, u) for u in range(g.n))
+    if m.vertex_count < 4:
+        raise TooSmall(
+            f"3-connectivity needs at least 4 vertices, got {m.vertex_count}")
+    _require_genus_0(m)
+    return _polyhedral(m)
 
 
 def require_face(m: PlanarMap, face: Face | int) -> Face:

@@ -3,9 +3,11 @@
 Both surgeries edit rotation lists and number the darts of the result
 directly.  Truncating a vertex or planting an apex in a face of a
 3-connected planar map gives a 3-connected planar map again, so the
-output is not re-validated; the host's 3-connectivity is checked once,
-on entry.  One private ``_augment`` plants the apexes of a single face,
-of every face, and of the duality square's augmented side.
+output is not re-validated; the host is checked once, on entry, and
+refused unless it is plane and 3-connected (a host of positive genus
+raises :class:`NonPlanarEmbedding`).  One private ``_augment`` plants
+the apexes of a single face, of every face, and of the duality
+square's augmented side.
 """
 
 from __future__ import annotations

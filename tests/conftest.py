@@ -14,6 +14,13 @@ from cdclab.surgery import augment_face
 
 NAMED_CORPUS = ["k4", "prism", "cube", "octahedron", "wheel:4", "wheel:5"]
 
+# Rotation tables of genus 1, built only with require_planar=False: K4
+# with every rotation ascending (two faces, each passing every vertex
+# twice) and K7 on the torus (14 triangles, a simple dual).
+TORUS_K4 = {1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4], 4: [1, 2, 3]}
+TOROIDAL_K7 = {i: [(i + k) % 7 for k in (1, 3, 2, 6, 4, 5)]
+               for i in range(7)}
+
 
 def _memos() -> list:
     """Every function with a ``cache_clear`` in the cdclab modules."""

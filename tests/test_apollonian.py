@@ -46,7 +46,7 @@ def test_generation_counts_and_shape():
     assert m.edge_count == 15
     assert m.face_count == 10
     assert all(len(f.darts) == 3 for f in m.faces)
-    assert is_3_connected(underlying_graph(m))
+    assert is_3_connected(m)
 
 
 def test_random_stacks_reproducible():
@@ -149,7 +149,7 @@ def test_recognition_is_order_independent(seed, shuffle_seed):
 def test_apollonian_dual_is_cubic():
     m = apollonian_dual([0, 3])
     assert all(m.degree(v) == 3 for v in range(m.vertex_count))
-    assert is_3_connected(underlying_graph(m))
+    assert is_3_connected(m)
 
 
 def test_k4_has_no_separating_triangle():

@@ -217,7 +217,7 @@ def test_certificate_is_a_second_orientable_cover(family):
         facial = facial_cover(m)
         assert cover.canonical_form() != facial.canonical_form(), name
         assert cover.k == facial.k - 1, name
-        assert len(census._certificate(name, g, m).covers) == 2, name
+        assert len(census._certificate(name, g, m)) == 2, name
 
 
 def test_certificate_is_among_the_searched_covers():

@@ -41,7 +41,12 @@ from cdclab.surgery import (
     truncate_vertex,
 )
 
-from conftest import apollonian_from_draws, corpus_maps
+from conftest import (
+    TOROIDAL_K7,
+    TORUS_K4,
+    apollonian_from_draws,
+    corpus_maps,
+)
 
 
 def test_k4_counts():
@@ -71,15 +76,14 @@ def test_face_of_dart_partitions_darts():
 @pytest.mark.parametrize("name,m", corpus_maps())
 def test_corpus_is_planar_and_3_connected(name, m):
     assert m.euler_genus() == 0
-    assert is_3_connected(underlying_graph(m))
+    assert is_3_connected(m)
 
 
 def test_ascending_k4_rotation_is_toroidal():
     # same graph as k4(), different rotation: the embedding has genus 1
-    adjacency = {1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4], 4: [1, 2, 3]}
     with pytest.raises(NonPlanarEmbedding):
-        from_rotation(adjacency)
-    m = from_rotation(adjacency, require_planar=False)
+        from_rotation(TORUS_K4)
+    m = from_rotation(TORUS_K4, require_planar=False)
     assert m.face_count == 2
     assert m.euler_genus() == 1
 
@@ -89,10 +93,6 @@ def test_mirror_of_k4_is_planar():
     mirrored = from_rotation({v: list(reversed(r))
                               for v, r in enumerate(rows)})
     assert mirrored.euler_genus() == 0
-
-
-TOROIDAL_K7 = {i: [(i + k) % 7 for k in (1, 3, 2, 6, 4, 5)]
-               for i in range(7)}
 
 
 def test_dual_of_a_toroidal_map_is_refused():
@@ -138,8 +138,7 @@ def test_derived_maps_equal_their_validated_rebuilds():
     # each of them and agree on every slot, faces included
     for m in _derived_maps():
         _assert_same_as_validated(m)
-    for rotation in (TOROIDAL_K7, {1: [2, 3, 4], 2: [1, 3, 4],
-                                   3: [1, 2, 4], 4: [1, 2, 3]}):
+    for rotation in (TOROIDAL_K7, TORUS_K4):
         m = from_rotation(rotation, require_planar=False)
         flipped = mirror(m)
         assert flipped.euler_genus() == 1
@@ -252,31 +251,36 @@ def _pair_deletion_3_connected(g: SimpleGraph) -> bool:
 
 
 def test_is_3_connected_matches_pair_deletion_oracle():
-    cases = [underlying_graph(m) for _, m in corpus_maps()]
-    cases.append(underlying_graph(apollonian_from_draws([0, 3, 1, 7])))
-    # negatives: a cycle, a near-cycle with a chord, K4 minus an edge
-    cases.append(SimpleGraph(6, frozenset(
-        ((i, (i + 1) % 6) if i < (i + 1) % 6 else ((i + 1) % 6, i))
-        for i in range(6))))
-    cases.append(SimpleGraph(4, frozenset(
-        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])))
+    cases = [m for _, m in corpus_maps()]
+    cases.append(apollonian_from_draws([0, 3, 1, 7]))
+    # negatives: a 6-cycle and K4 minus an edge
+    cases.append(from_rotation({i: [(i + 1) % 6, (i - 1) % 6]
+                                for i in range(6)}))
+    cases.append(from_rotation({0: [1, 2], 1: [0, 2, 3], 2: [0, 3, 1],
+                                3: [1, 2]}))
     # negatives of minimum degree 3: two K4s glued at vertex 3, so
-    # g - 3 falls apart, and two K4s sharing the edge (2, 3)
+    # m - 3 falls apart, and two K4s sharing the edge (2, 3); keyed by
+    # the shift that turns the first K4 into the second
     first = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    glued = [SimpleGraph(7, frozenset(first + [(u + 3, v + 3)
-                                               for u, v in first])),
-             SimpleGraph(6, frozenset(first + [(u + 2, v + 2)
-                                               for u, v in first]))]
-    for g in glued:
+    glued = {
+        3: from_rotation({0: [1, 2, 3], 1: [0, 3, 2], 2: [0, 1, 3],
+                          3: [0, 2, 1, 4, 5, 6], 4: [3, 6, 5],
+                          5: [3, 4, 6], 6: [3, 5, 4]}),
+        2: from_rotation({0: [1, 2, 3], 1: [0, 3, 2], 2: [0, 1, 3, 4, 5],
+                          3: [0, 5, 4, 2, 1], 4: [2, 3, 5], 5: [2, 4, 3]}),
+    }
+    for shift, m in glued.items():
+        g = underlying_graph(m)
+        assert g.edges == frozenset(first + [(u + shift, v + shift)
+                                             for u, v in first])
         assert min(g.degree(v) for v in range(g.n)) == 3
         assert not _pair_deletion_3_connected(g)
-    for g in cases + glued:
-        assert is_3_connected(g) == _pair_deletion_3_connected(g)
+    for m in cases + list(glued.values()):
+        assert is_3_connected(m) == \
+            _pair_deletion_3_connected(underlying_graph(m))
 
 
 def test_is_3_connected_rejects_tiny_graphs():
-    with pytest.raises(TooSmall):
-        is_3_connected(SimpleGraph(3, frozenset([(0, 1), (0, 2), (1, 2)])))
     with pytest.raises(TooSmall):
         is_3_connected(from_rotation({0: [1, 2], 1: [2, 0], 2: [0, 1]}))
 
@@ -289,7 +293,7 @@ def _without_edges(m: PlanarMap, edges) -> PlanarMap:
     return from_rotation(dict(enumerate(rows)))
 
 
-def test_face_criterion_matches_the_lowpoint_search():
+def test_face_criterion_matches_pair_deletion():
     # stacked networks and their duals, every one-edge deletion of
     # them, and every two-edge deletion of those with up to 8 vertices
     hosts = set()
@@ -309,18 +313,20 @@ def test_face_criterion_matches_the_lowpoint_search():
     maps.add(from_rotation({0: [4], 1: [2, 4], 2: [1, 3, 5], 3: [2, 5],
                             4: [0, 1], 5: [2, 3]}))
     verdicts = [is_3_connected(m) for m in maps]
-    assert verdicts == [is_3_connected(underlying_graph(m)) for m in maps]
+    assert verdicts == [_pair_deletion_3_connected(underlying_graph(m))
+                        for m in maps]
     assert (len(maps), sum(verdicts)) == (4059, 750)
 
 
-def test_maps_of_positive_genus_fall_back_to_the_lowpoint_search():
-    # K4 on the torus: two faces, each passing every vertex twice, so
-    # the face criterion would call this 3-connected graph 2-connected
-    m = from_rotation({1: [2, 3, 4], 2: [1, 3, 4], 3: [1, 2, 4],
-                       4: [1, 2, 3]}, require_planar=False)
-    assert any(len(set(f.boundary)) < len(f) for f in m.faces)
-    assert is_3_connected(m)
-    assert is_3_connected(from_rotation(TOROIDAL_K7, require_planar=False))
+def test_maps_of_positive_genus_are_refused():
+    # the face criterion holds on the sphere only: the faces of K4 on
+    # the torus pass every vertex twice, yet K4 is 3-connected
+    torus_k4 = from_rotation(TORUS_K4, require_planar=False)
+    assert any(len(set(f.boundary)) < len(f) for f in torus_k4.faces)
+    for m in (torus_k4, from_rotation(TOROIDAL_K7, require_planar=False)):
+        with pytest.raises(NonPlanarEmbedding,
+                           match="rotation system has Euler genus 1, not 0"):
+            is_3_connected(m)
 
 
 def test_mirror_involution_and_genus():

@@ -15,7 +15,7 @@ from cdclab.corpus import (
     select,
     wheel,
 )
-from cdclab.errors import NotThreeConnected
+from cdclab.errors import NonPlanarEmbedding, NotThreeConnected
 from cdclab.io_formats import correspondence_to_json, dumps
 from cdclab.iso import maps_isomorphic
 from cdclab.planar_map import (
@@ -32,7 +32,12 @@ from cdclab.surgery import (
     truncate_vertex,
 )
 
-from conftest import apollonian_from_draws, corpus_maps
+from conftest import (
+    TOROIDAL_K7,
+    TORUS_K4,
+    apollonian_from_draws,
+    corpus_maps,
+)
 
 
 def test_complete_truncation_of_k4_counts():
@@ -79,7 +84,7 @@ def test_complete_augmentation_properties(name, m):
     assert out.face_count == 2 * m.edge_count
     assert all(len(f.darts) == 3 for f in out.faces)
     assert out.euler_genus() == 0
-    assert is_3_connected(underlying_graph(out))
+    assert is_3_connected(out)
     # every apex is adjacent to exactly its face boundary
     g = underlying_graph(out)
     for face in m.faces:
@@ -95,7 +100,7 @@ def test_complete_truncation_properties(name, m):
     assert out.face_count == m.face_count + m.vertex_count
     assert all(out.degree(v) == 3 for v in range(out.vertex_count))
     assert out.euler_genus() == 0
-    assert is_3_connected(underlying_graph(out))
+    assert is_3_connected(out)
     # vertex cycles have the original degrees as lengths
     assert sorted(len(c) for c in corr.vertex_faces.values()) == \
         sorted(m.degree(v) for v in range(m.vertex_count))
@@ -210,6 +215,21 @@ def test_surgery_requires_3_connected():
         complete_augmentation(square)
 
 
+@pytest.mark.parametrize("surgery", [
+    lambda m: augment_face(m, 0), complete_augmentation,
+    complete_truncation, lambda m: truncate_vertex(m, 0)],
+    ids=["augment_face", "complete_augmentation", "complete_truncation",
+         "truncate_vertex"])
+@pytest.mark.parametrize("rotation", [TORUS_K4, TOROIDAL_K7],
+                         ids=["torus-k4", "toroidal-k7"])
+def test_surgeries_refuse_a_host_of_positive_genus(surgery, rotation):
+    # both hosts are 3-connected graphs, but no surgery output on the
+    # torus would be the plane map the surgeries promise
+    with pytest.raises(NonPlanarEmbedding,
+                       match="rotation system has Euler genus 1, not 0"):
+        surgery(from_rotation(rotation, require_planar=False))
+
+
 def test_augment_then_check_inherited_edges_are_preserved():
     m = wheel(5)
     out, corr = complete_augmentation(m)
@@ -226,7 +246,7 @@ def test_truncation_of_apollonian_is_cubic_3_connected(draws):
     out, _ = complete_truncation(m)
     assert all(out.degree(v) == 3 for v in range(out.vertex_count))
     assert out.euler_genus() == 0
-    assert is_3_connected(underlying_graph(out))
+    assert is_3_connected(out)
 
 
 @given(st.lists(st.integers(0, 10 ** 6), min_size=0, max_size=8))
