@@ -19,8 +19,10 @@ circuit is worked out once: both searches build one object per
 distinct circuit (the transition search also per arc set), and both
 cover checks read a circuit's facts (its report, its host-edge
 bitmask and its trails) from one bounded memo, and its orientation
-parts from another.  The double-cover law is decided by mask algebra
-on those bitmasks.  Orientability works on trails: a circuit's
+parts from another.  A third memo keeps the last cover validated, so
+`check_orientability` right after `validate_cover` on the same cover
+and host validates it once.  The double-cover law is decided by mask
+algebra on those bitmasks.  Orientability works on trails: a circuit's
 degree-2 vertices chain its edges into trails, each with one free
 direction bit, and the trails of a cover join into components through
 the edges they share, by bitmask.  A search is left only for trails
@@ -36,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -151,9 +154,10 @@ _CYCLE = CircuitReport(True, True)
 _CIRCUIT = CircuitReport(True, False)
 
 
-def _check_known_edges(g: SimpleGraph, edges: Iterable[Edge]) -> list[str]:
+def _check_known_edges(host: frozenset[Edge], edges: Iterable[Edge]
+                       ) -> list[str]:
     return [f"edge {e} not in host graph"
-            for e in sorted(set(edges)) if e not in g.edges]
+            for e in sorted(set(edges)) if e not in host]
 
 
 def _circuit_report(circuit: frozenset[Edge]) -> CircuitReport:
@@ -188,6 +192,10 @@ class _Facts(NamedTuple):
     wide: tuple     # unless the circuit is valid
 
 
+# a cover's report, its circuits as normalized and their facts
+_Validation = tuple[CoverReport, list[frozenset[Edge]], list[_Facts]]
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _facts(circuit: frozenset[Edge], edges: frozenset[Edge]
            ) -> _Facts | None:
@@ -218,7 +226,7 @@ def validate_circuit(g: SimpleGraph, edges: Iterable[Sequence[int]]
     circuit = _normalize_circuit(edges)
     facts = _facts(circuit, g.edges)
     if facts is None:
-        raise UnknownEdge("; ".join(_check_known_edges(g, circuit)))
+        raise UnknownEdge("; ".join(_check_known_edges(g.edges, circuit)))
     return facts.report
 
 
@@ -236,19 +244,36 @@ def validate_cover(g: SimpleGraph,
     an even number of times), their OR is the full mask (every edge
     met) and the circuits' edge counts sum to 2|E| (so no edge is met
     more than twice and none is foreign).  The unknown-edge and
-    per-edge diagnostics are built only when something is wrong.  Never
-    raises; failures come back as diagnostics, a circuit that is not
-    iterable or an edge that is not a pair among them (its circuit then
-    counts no edges).
+    per-edge diagnostics are built only when something is wrong.  The
+    last tuple of circuits validated is kept with its host's edges, so
+    a cover just validated for the same host is not validated again.
+    Never raises; failures come back as diagnostics, a circuit that is
+    not iterable or an edge that is not a pair among them (its circuit
+    then counts no edges).
     """
     return _validate(g, circuits)[0]
 
 
 def _validate(g: SimpleGraph, circuits: Iterable[Iterable[Sequence[int]]]
-              ) -> tuple[CoverReport, list[frozenset[Edge]], list[_Facts]]:
+              ) -> _Validation:
     """:func:`validate_cover`'s report, with the circuits as normalized
-    and their facts."""
-    edges = g.edges
+    and their facts.  A tuple of hashable circuits goes through the
+    one-entry memo; any other input is validated afresh."""
+    if isinstance(circuits, tuple):
+        try:
+            return _last_validation(g.edges, circuits)
+        except TypeError:   # a circuit that is not hashable: a list, say
+            pass
+    return _last_validation.__wrapped__(g.edges, circuits)
+
+
+@lru_cache(maxsize=1)
+def _last_validation(edges: frozenset[Edge],
+                     circuits: Iterable[Iterable[Sequence[int]]]
+                     ) -> _Validation:
+    """:func:`_validate` for the host with edge set ``edges``, keeping
+    the last result (memoised; read only): a cover checked twice in a
+    row is validated once."""
     sets: list[frozenset[Edge]] = []
     facts: list[_Facts] = []
     problems: list[str] = []
@@ -266,7 +291,7 @@ def _validate(g: SimpleGraph, circuits: Iterable[Iterable[Sequence[int]]]
             # its host edges are left out of the masks; its edge count
             # alone breaks the law
             f = _Facts(CircuitReport(False, False,
-                                     tuple(_check_known_edges(g, c))),
+                                     tuple(_check_known_edges(edges, c))),
                        0, (), ())
             problems.append(f"circuit {i}: unknown edges")
         elif not f.report.valid:
@@ -383,7 +408,8 @@ def check_orientability(g: SimpleGraph,
     Returns a witness, or None when the cover admits none.  Invalid
     covers are rejected with :class:`InvalidCover`; the check is
     :func:`validate_cover`'s mask algebra, on facts the search reads
-    too.
+    too, and its result is reused when the same cover was just
+    validated for the same host.
 
     Where a circuit has degree 2, one edge leaves, so its degree-2
     vertices chain its edges into trails, each with one free direction
@@ -502,9 +528,11 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
     its bit.  Only the constraints :func:`_trails` leaves are searched,
     over the components they touch, iteratively, trying 0 before 1 in
     root order, and a component set to 1 flips every edge it holds; so
-    the witness is the least solution in edge order.  Each part comes
-    from the memo :func:`_part`, keyed by the circuit and its flips, so
-    covers sharing a circuit share its parts.  With ``deadline``,
+    the witness is the least solution in edge order.  When no circuit
+    leaves a constraint, as on every wheel, every root stays at 0 and
+    the search is not set up.  Each part comes from the memo
+    :func:`_part`, keyed by the circuit and its flips, so covers
+    sharing a circuit share its parts.  With ``deadline``,
     raises :class:`TimeBudgetExceeded` once the budget has run out,
     before building anything if it already has.
     """
@@ -541,6 +569,8 @@ def _orientation(circuits: Sequence[frozenset[Edge]],
             rest = left
         comps.append(held)
         pending = rest
+    if not any([f.wide for f in facts]):    # no constraint: every root at 0
+        return tuple([_part(c, edges, x) for c, x in zip(circuits, flips)])
 
     # constraint k needs need[k] more leaving edges among free[k] open
     need: list[int] = []
@@ -777,15 +807,17 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
     vertex.  A circuit through a vertex twice has several tours, so
     covers repeat among the leaves; each is built and yielded once, as
     (canonical form, cover).  A chain also keeps its dart mask, so a
-    closed walk is two masks, and the leaf reads its circuit (edge
-    list and edge set) from a per-search dict keyed by the edge mask
-    and its arcs from one keyed by the dart mask, building each only
-    the first time: covers share one object per distinct circuit and
-    arc set, whose edges and arcs are the host's own tuples.  The
-    circuits are sorted by edge list alone, stably, so a circuit walked
-    twice keeps its parts aligned, and those edge lists in order are
-    the canonical form.  Runs iteratively, one stack level per passage,
-    and polls the clock once per 512 links.
+    closed walk is two masks, kept on a stack as its link closes it and
+    dropped when that link is undone; a leaf reads only that stack.  It
+    reads each walk (edge list, edge set and arcs) from a per-search
+    dict keyed by the dart mask, building it only the first time, with
+    the circuit from one keyed by the edge mask: covers share one
+    object per distinct circuit and arc set, whose edges and arcs are
+    the host's own tuples.  The circuits are sorted by edge list alone,
+    stably, so a circuit walked twice keeps its parts aligned, and
+    those edge lists in order are the canonical form.  Runs
+    iteratively, one stack level per passage, and polls the clock once
+    per 512 links.
     """
     edges = sorted(g.edges)
     # dart 2i runs edges[i] from its smaller end and dart 2i + 1 back, so
@@ -849,34 +881,34 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
             [pred[o] ^ 1 for o in p_outs[0]]
 
     built: set[tuple[int, ...]] = set()  # walk edge masks, sorted
-    closes = [0] * n_pass               # per passage: edge mask of the
-    closes_d = [0] * n_pass             # walk its link closed, else 0,
-                                        # and that walk's dart mask
-    # one object per distinct circuit and per distinct arc set
+    # the closed walks, oldest link first: (edge mask, dart mask)
+    closed: list[tuple[int, int]] = []
+    # one object per distinct circuit, and per dart mask its walk:
+    # (key, circuit, arcs)
     circuit_of: dict[int, tuple[tuple[Edge, ...], frozenset[Edge]]] = {}
-    arcs_of: dict[int, frozenset[Arc]] = {}
+    walk_of: dict[int, tuple[tuple[Edge, ...], frozenset[Edge],
+                             frozenset[Arc]]] = {}
 
     def leaf() -> tuple[tuple, CircuitDoubleCover] | None:
         """The cover the walks make, keyed; None if already built."""
-        walked = [(m, dm) for m, dm in zip(closes, closes_d) if m]
-        masks = tuple(sorted([m for m, _ in walked]))
+        masks = tuple(sorted([m for m, _ in closed]))
         if masks in built:
             return None
         built.add(masks)
         walks = []
-        for mask, darts in walked:
-            circuit = circuit_of.get(mask)
-            if circuit is None:
-                # edge ids ascend with the edges: the circuit's key
-                key = tuple([edges[i] for i in _bits(mask)])
-                circuit = circuit_of[mask] = key, frozenset(key)
-            arcs = arcs_of.get(darts)
-            if arcs is None:
-                arcs = arcs_of[darts] = frozenset(
-                    [arc[d] for d in _bits(darts)])
-            walks.append((*circuit, arcs))
+        for mask, darts in closed:
+            walk = walk_of.get(darts)
+            if walk is None:
+                circuit = circuit_of.get(mask)
+                if circuit is None:
+                    # edge ids ascend with the edges: the circuit's key
+                    key = tuple([edges[i] for i in _bits(mask)])
+                    circuit = circuit_of[mask] = key, frozenset(key)
+                walk = walk_of[darts] = (*circuit, frozenset(
+                    [arc[d] for d in _bits(darts)]))
+            walks.append(walk)
         # stable, so a circuit walked twice keeps its parts aligned
-        walks.sort(key=lambda w: w[0])
+        walks.sort(key=itemgetter(0))
         keys, circuits, parts = zip(*walks)
         return keys, CircuitDoubleCover(circuits, parts)
 
@@ -895,6 +927,8 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
                 a, b, emask[a], emask[b], dmask[a], dmask[b] = joined[depth]
                 other[a], other[b] = d, o
                 joined[depth] = None
+            else:                       # it closed a walk
+                closed.pop()
         if not opts[depth]:
             succ[d] = -1
             depth -= 1
@@ -907,14 +941,14 @@ def _enumerate_transitions(g: SimpleGraph, deadline: _Deadline
         # the link d -> o joins the chain a .. d to the chain o .. b
         a = other[d]
         if a == o:                      # one chain: it closes a walk
-            closes[depth], closes_d[depth] = emask[d], dmask[d]
+            closed.append((emask[d], dmask[d]))
         else:
             mask_a, mask_b = emask[d], emask[o]
-            if mask_a & mask_b:         # both darts of some edge
-                continue
+            if mask_a & mask_b:         # both darts of some edge: undone
+                succ[d] = pred[o] = -1  # now, so a link kept either joins
+                continue                # two chains or closes a walk
             b = other[o]
             darts_a, darts_b = dmask[d], dmask[o]
-            closes[depth] = 0
             joined[depth] = a, b, mask_a, mask_b, darts_a, darts_b
             other[a], other[b] = b, a
             emask[a] = emask[b] = mask_a | mask_b
@@ -1008,11 +1042,20 @@ def _enumerate_all(g: SimpleGraph, deadline: _Deadline
         # one is never taken without the earlier
         twin = [j > 0 and part_members[j] == part_members[j - 1]
                 for j in range(n_parts)] + [False, False]
-        return [(pa, pb, du[pa] + du[pb], dv[pa] + dv[pb])
-                for pa in range(n_parts + 1) if not twin[pa]
-                for pb in range(pa + 1, n_parts + (2 if pa == n_parts else 1))
-                if (pa == pb - 1 or not twin[pb])
-                and du[pa] + du[pb] <= room_u and dv[pa] + dv[pb] <= room_v]
+        found = []
+        for pa in range(n_parts + 1):
+            if twin[pa]:
+                continue
+            # the room left for the second part, which moves each count
+            # by 1 or -1
+            left_u, left_v = room_u - du[pa], room_v - dv[pa]
+            if left_u < -1 or left_v < -1:
+                continue
+            for pb in range(pa + 1, n_parts + (2 if pa == n_parts else 1)):
+                if (pa == pb - 1 or not twin[pb]) \
+                        and du[pb] <= left_u and dv[pb] <= left_v:
+                    found.append((pa, pb, du[pa] + du[pb], dv[pa] + dv[pb]))
+        return found
 
     frames: list[list] = []     # per open edge: pairs, next pair, parts before
     enter = True

@@ -776,6 +776,11 @@ def test_orientation_matches_the_edge_level_reference():
         covers = require_complete(
             enumerate_covers(host, orientable_only=False)).covers
         assert any(c.orientation is None for c in covers), name
+        if name == "apollonian:0,0":
+            # some circuit leaves a constraint, so the search past the
+            # return for covers with none runs
+            assert any(_facts(c, host.edges).wide
+                       for cover in covers for c in cover.circuits)
         for cover in covers:
             expected = _reference_orientation(cover.circuits)
             assert cover.orientation == expected, name
@@ -800,6 +805,80 @@ def test_orientability_reads_the_circuits_as_validated():
                                        for c in cover.circuits))
     assert validate_cover(g, flipped.circuits).valid
     assert check_orientability(g, flipped) == check_orientability(g, cover)
+
+
+def _relabelled_cover(cover, perm):
+    """``cover`` with every vertex v renamed ``perm[v]``."""
+    return CircuitDoubleCover.build(
+        [[(perm[u], perm[v]) for u, v in c] for c in cover.circuits],
+        [[(perm[u], perm[v]) for u, v in p] for p in cover.orientation])
+
+
+@pytest.mark.parametrize("name", ["wheel:7", "octahedron"])
+def test_orientability_after_validation_matches_a_fresh_check(name):
+    # check_orientability right after validate_cover on the same cover
+    # reuses that validation; its witness is the one a check from cold
+    # memos gives, and the one `_orientation` gives on facts worked out
+    # afresh, on every transition cover of the host and of a relabelled
+    # copy of the host
+    g = _host(name)
+    h, perm = _relabel(g, 0)
+    covers = require_complete(enumerate_covers(g)).covers
+    checked = [(g, c) for c in covers] + \
+        [(h, _relabelled_cover(c, perm)) for c in covers]
+    for host, cover in checked:
+        assert validate_cover(host, cover.circuits).valid
+        hits = cdc._last_validation.cache_info().hits
+        after = check_orientability(host, cover)
+        assert cdc._last_validation.cache_info().hits == hits + 1
+        clear_memos()
+        cold = check_orientability(host, cover)
+        fresh = _orientation(
+            cover.circuits,
+            [_facts.__wrapped__(c, host.edges) for c in cover.circuits],
+            host.edges)
+        assert after == cold == OrientedCover(fresh), name
+        assert validate_oriented_cover(host, cover, after) == [], name
+
+
+def test_the_last_validation_answers_only_for_its_host():
+    # one circuits tuple checked against wheel:7 and against wheel:7
+    # with a chord, in turn: each host gets its own answer
+    g = _host("wheel:7")
+    chorded = SimpleGraph(g.n, g.edges | {(1, 3)})
+    cover = enumerate_covers(g, limit=1).covers[0]
+    missing = "edge (1, 3) covered 0 times, need 2"
+    for _ in range(2):
+        assert validate_cover(g, cover.circuits).valid
+        report = validate_cover(chorded, cover.circuits)
+        assert report.problems == (missing,)
+        assert report == _reference_validate_cover(chorded, cover.circuits)
+    assert validate_cover(g, cover.circuits).valid
+    with pytest.raises(InvalidCover, match=re.escape(missing)):
+        check_orientability(chorded, cover)
+    assert validate_cover(chorded, cover.circuits) == report
+    assert check_orientability(g, cover) is not None
+
+
+def test_a_tuple_holding_lists_is_validated_without_the_memo():
+    # only hashable circuits go through the memo; a tuple holding lists
+    # is validated afresh, with the diagnostics a list of them gets
+    g = underlying_graph(k4())
+    triangles = [sorted(c) for c in facial_cover(k4()).circuits]
+    frozen = [frozenset(map(tuple, c)) for c in triangles]
+    doubled = (triangles[0], triangles[0], triangles[1], triangles[2])
+    for circuits in (tuple(triangles), doubled,
+                     tuple(frozen[:3]) + (triangles[3],),
+                     tuple(triangles) + ([(0, 9)],)):
+        report = validate_cover(g, circuits)
+        assert report == validate_cover(g, list(circuits)) == \
+            _reference_validate_cover(g, circuits)
+    assert cdc._last_validation.cache_info().currsize == 0
+    assert validate_cover(g, doubled).problems == (
+        "edge (0, 1) covered 3 times, need 2",
+        "edge (0, 2) covered 3 times, need 2",
+        "edge (1, 3) covered 1 times, need 2",
+        "edge (2, 3) covered 1 times, need 2")
 
 
 def test_only_trails_between_two_wide_vertices_are_constrained():
@@ -1122,8 +1201,11 @@ def test_validate_cover_matches_reference():
     clear_memos()
     for _ in range(2):          # from cold memos, then warm
         for g, circuits in inputs:
-            assert validate_cover(g, circuits) == \
-                _reference_validate_cover(g, circuits), circuits
+            # as given, and as a tuple: through the last-validation memo
+            # when every circuit is hashable
+            for given in (circuits, tuple(circuits)):
+                assert validate_cover(g, given) == \
+                    _reference_validate_cover(g, circuits), circuits
         for g, make in generated:
             assert validate_cover(g, make()) == \
                 _reference_validate_cover(g, make())

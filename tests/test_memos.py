@@ -10,7 +10,8 @@ def test_every_memo_is_bounded():
     # without limit; only a function of no arguments, which holds one
     # entry at most, may have an unbounded memo
     names = {memo.__qualname__ for memo in MEMOS}
-    assert {"_facts", "_part", "_edge_bits", "_base"} <= names
+    assert {"_facts", "_part", "_edge_bits", "_last_validation",
+            "_base"} <= names
     for memo in MEMOS:
         if memo.cache_info().maxsize is None:
             assert not inspect.signature(memo).parameters, memo.__qualname__
