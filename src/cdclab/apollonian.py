@@ -15,19 +15,18 @@ from heapq import heappop, heappush
 from random import Random
 from typing import NamedTuple, Sequence
 
+from .corpus import MAX_SIZE, k4
 from .errors import BadSelector, NotApollonian
 from .planar_map import (
     PlanarMap,
     SimpleGraph,
     _dart_numbering,
     dualize,
-    underlying_graph,
 )
 
 
 @cache
 def _base() -> PlanarMap:
-    from .corpus import k4
     return k4()
 
 
@@ -41,6 +40,9 @@ def random_stacks(count: int, seed: int | None) -> list[int]:
     """
     if count < 0:
         raise BadSelector(f"negative stack count {count}")
+    if count > MAX_SIZE:
+        raise BadSelector(
+            f"stack count {count} is over the cap of {MAX_SIZE}")
     rng = Random(seed)
     return [rng.randrange(4 + 2 * i) for i in range(count)]
 
@@ -122,7 +124,7 @@ def apollonian_dual(stacks: Sequence[int] | int, *,
     return dualize(generate_apollonian(stacks, seed=seed))
 
 
-def _unstack(g: SimpleGraph | PlanarMap) -> list[tuple[int, int, int]] | None:
+def _unstack(g: SimpleGraph) -> list[tuple[int, int, int]] | None:
     """Unstack ``g`` down to K4: the sorted neighbourhood of each removed
     vertex, or None when ``g`` does not reduce to K4.
 
@@ -137,8 +139,6 @@ def _unstack(g: SimpleGraph | PlanarMap) -> list[tuple[int, int, int]] | None:
     Removing a vertex whose neighbours form a triangle never empties or
     splits a component, so a disconnected graph never reduces to K4.
     """
-    if isinstance(g, PlanarMap):
-        g = underlying_graph(g)
     adj = [set(g.adjacency[v]) for v in range(g.n)]
 
     def removable(v: int) -> bool:
@@ -166,7 +166,7 @@ def _unstack(g: SimpleGraph | PlanarMap) -> list[tuple[int, int, int]] | None:
     return removed if (left, edges) == (4, 6) else None
 
 
-def is_apollonian(g: SimpleGraph | PlanarMap) -> bool:
+def is_apollonian(g: SimpleGraph) -> bool:
     """Whether ``g`` reduces to K4 by unstacking degree-3 vertices."""
     return _unstack(g) is not None
 
@@ -188,10 +188,8 @@ class TriangleSet:
         return tuple(t.vertices for t in self.triangles if t.separating)
 
 
-def separating_triangles(g: SimpleGraph | PlanarMap) -> TriangleSet:
+def separating_triangles(g: SimpleGraph) -> TriangleSet:
     """Classify every triangle by whether deleting it disconnects ``g``."""
-    if isinstance(g, PlanarMap):
-        g = underlying_graph(g)
     adj = g.adjacency
     out: list[Triangle] = []
     for u in range(g.n):
@@ -227,8 +225,7 @@ class ClassificationReport:
         return all(e.ok for e in self.entries)
 
 
-def check_edge_classification(
-        g: SimpleGraph | PlanarMap) -> ClassificationReport:
+def check_edge_classification(g: SimpleGraph) -> ClassificationReport:
     """Classify each edge of an Apollonian network.
 
     Every edge must lie in a separating triangle or touch a vertex of
@@ -236,8 +233,6 @@ def check_edge_classification(
     The separating triangles are read off the one unstacking that
     recognises the network, not found by a cut test per triangle.
     """
-    if isinstance(g, PlanarMap):
-        g = underlying_graph(g)
     triangles = _unstack(g)
     if triangles is None:
         raise NotApollonian("edge classification is stated for "

@@ -33,7 +33,12 @@ from .cdc import (
     validate_oriented_cover,
 )
 from .corpus import default_census_corpus, k4, select
-from .errors import InvalidCover, NotSimpleDual, NotThreeConnected
+from .errors import (
+    EdgeLimitExceeded,
+    InvalidCover,
+    NotSimpleDual,
+    NotThreeConnected,
+)
 from .io_formats import report_to_json
 from .planar_map import (
     PlanarMap,
@@ -75,16 +80,18 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
     K4's one cover, any other core is searched to two covers.
     ``certificate``: a non-cubic host has the facial cover and the
     regrouped one, so at least two; a certificate that fails a check
-    raises :class:`InvalidCover` naming the entry.  A search that
-    neither finished nor reached two covers, and a graph over the edge
-    cap (0 covers, no route), leave the entry undecided: its count is
-    a lower bound, its verdict ``incomplete``, and it never counts for
-    or against the census.  A map with a dual that is not simple is
-    not 3-connected (Whitney), and raises :class:`NotThreeConnected`
-    naming the entry; so does a non-cubic map that fails
-    :func:`is_3_connected`.  A cubic map needs no further check: a
-    simple dual rules out a bridge and a 2-edge cut, and a cubic
-    graph's vertex connectivity equals its edge connectivity.
+    raises :class:`InvalidCover` naming the entry.  ``max_edges`` caps
+    only the search, so it bounds a core other than K4 and nothing
+    else.  A search that neither finished nor reached two covers, and
+    a core over the edge cap (0 covers, no route), leave the entry
+    undecided: its count is a lower bound, its verdict ``incomplete``,
+    and it never counts for or against the census.  A map with a dual
+    that is not simple is not 3-connected (Whitney), and raises
+    :class:`NotThreeConnected` naming the entry; so does a non-cubic
+    map that fails :func:`is_3_connected`.  A cubic map needs no
+    further check: a simple dual rules out a bridge and a 2-edge cut,
+    and a cubic graph's vertex connectivity equals its edge
+    connectivity.
     """
     start = time.monotonic()
     m = select(name)
@@ -101,14 +108,16 @@ def census_entry(name: str, max_edges: int = DEFAULT_MAX_EDGES,
             "two of its vertices separate it")
     dual_apollonian = is_apollonian(underlying_graph(dual))
     contractions = 0
-    if len(g.edges) > max_edges:
-        count, complete, nodes, search = 0, False, 0, None
-    elif cubic:
+    if cubic:
         core, contractions = _contract_triangles(g)
-        result = _k4_result() if core.n == 4 else enumerate_covers(
-            core, max_edges=max_edges, time_budget=time_budget, limit=2)
-        count, complete = len(result.covers), result.complete
-        nodes, search = result.nodes, "core"
+        try:
+            result = _k4_result() if core.n == 4 else enumerate_covers(
+                core, max_edges=max_edges, time_budget=time_budget, limit=2)
+        except EdgeLimitExceeded:
+            count, complete, nodes, search = 0, False, 0, None
+        else:
+            count, complete = len(result.covers), result.complete
+            nodes, search = result.nodes, "core"
     else:
         count = len(_certificate(name, g, m))
         complete, nodes, search = False, 0, "certificate"

@@ -30,7 +30,7 @@ from .cdc import (
     validate_oriented_cover,
 )
 from .census import run_census
-from .corpus import select
+from .corpus import MAX_SIZE, select
 from .errors import (
     BadSelector,
     CdcLabError,
@@ -263,9 +263,13 @@ def _parse_seed_range(text: str) -> list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise BadSelector(f"bad seed range {text!r}")
+        if hi - lo >= MAX_SIZE:
+            raise BadSelector(
+                f"seed range {text!r} holds more than {MAX_SIZE} seeds")
+        seeds = list(range(lo, hi + 1))
         if not seeds:
             raise BadSelector(f"empty seed range {text!r}")
         return seeds

@@ -10,6 +10,10 @@ from __future__ import annotations
 from .errors import BadSelector
 from .planar_map import PlanarMap, from_rotation
 
+# The largest wheel, stack count or seed range a command builds; past
+# it a size is refused before anything is built, not run out of memory.
+MAX_SIZE = 100_000
+
 
 def k4() -> PlanarMap:
     """Complete graph on four vertices, embedded as the tetrahedron."""
@@ -25,6 +29,8 @@ def wheel(n: int) -> PlanarMap:
     """Wheel: hub vertex 1 joined to an n-cycle on vertices 2..n+1."""
     if n < 3:
         raise BadSelector(f"a wheel needs at least 3 rim vertices, got {n}")
+    if n > MAX_SIZE:
+        raise BadSelector(f"wheel size {n} is over the cap of {MAX_SIZE}")
     rim = [i + 2 for i in range(n)]
     adjacency: dict[int, list[int]] = {1: rim}
     for j, r in enumerate(rim):

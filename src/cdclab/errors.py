@@ -34,7 +34,7 @@ class NotSimpleDual(MapError):
 
 
 class FaceNotInMap(MapError):
-    """A face handle does not belong to the map it was used with."""
+    """A face index names no face of the map it was used with."""
 
 
 class VertexNotInMap(MapError):

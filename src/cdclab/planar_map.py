@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     Disconnected,
-    FaceNotInMap,
     NonPlanarEmbedding,
     NonSymmetricAdjacency,
     NotSimple,
@@ -52,13 +51,14 @@ class Face:
 
 
 class PlanarMap:
-    """Immutable connected simple map, planar unless told otherwise.
+    """Immutable connected simple plane map.
 
     Vertices are ``0 .. vertex_count - 1``.  ``labels[v]`` carries an
     external integer name for vertex ``v``; operations that create
     vertices extend it.  Construction validates the permutation
-    structure, simplicity, and connectivity, and rejects positive
-    genus unless ``require_planar=False``.
+    structure, simplicity, and connectivity, and refuses a rotation
+    system of positive genus (:class:`NonPlanarEmbedding`), so every
+    map is plane.
     """
 
     __slots__ = ("_sigma", "_vertex_of", "_labels", "_vertex_count",
@@ -69,8 +69,6 @@ class PlanarMap:
         sigma: Sequence[int],
         vertex_of: Sequence[int],
         labels: Sequence[int] | None = None,
-        *,
-        require_planar: bool = True,
     ) -> None:
         sigma = tuple(sigma)
         vertex_of = tuple(vertex_of)
@@ -122,15 +120,17 @@ class PlanarMap:
         if len(reached) != n_darts:
             raise Disconnected("the map is not connected")
 
-        if require_planar:
-            _require_genus_0(self)
+        genus = self.euler_genus()
+        if genus:
+            raise NonPlanarEmbedding(
+                f"rotation system has Euler genus {genus}, not 0")
 
     @classmethod
     def _derived(cls, sigma: Sequence[int], vertex_of: Sequence[int],
                  labels: Sequence[int] | None = None) -> "PlanarMap":
         """A map built from valid maps by a construction that keeps it
-        valid (dual, mirror, stacking, surgery): only the labels are
-        checked."""
+        valid and plane (dual, mirror, stacking, surgery): only the
+        labels are checked."""
         out = object.__new__(cls)
         out._fill(tuple(sigma), tuple(vertex_of), labels)
         return out
@@ -304,11 +304,6 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> set[int]:
-        if v not in self.adjacency:
-            raise VertexNotInMap(f"no vertex {v}")
-        return self.adjacency[v]
-
     def is_connected(self, without: Iterable[int] = ()) -> bool:
         """Connectivity of the graph with ``without`` vertices deleted."""
         banned = set(without)
@@ -332,17 +327,12 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def from_rotation(
-    adjacency: Mapping[int, Sequence[int]],
-    *,
-    require_planar: bool = True,
-) -> PlanarMap:
+def from_rotation(adjacency: Mapping[int, Sequence[int]]) -> PlanarMap:
     """Build a map from counterclockwise neighbor lists.
 
     Keys become vertex labels (sorted order gives internal ids).  The
     table must be symmetric, loop-free, duplicate-free, and connected;
-    the resulting rotation system must close up at genus 0 unless
-    ``require_planar=False``.
+    the resulting rotation system must close up at genus 0.
     """
     names = sorted(adjacency)
     if not names:
@@ -371,7 +361,7 @@ def from_rotation(
                     f"arc {names[v]}->{names[w]} has no reverse")
 
     sigma, vertex_of = _dart_numbering(rotations)
-    return PlanarMap(sigma, vertex_of, names, require_planar=require_planar)
+    return PlanarMap(sigma, vertex_of, names)
 
 
 def _dart_numbering(
@@ -397,13 +387,6 @@ def _dart_numbering(
     return sigma, vertex_of
 
 
-def _require_genus_0(m: PlanarMap) -> None:
-    genus = m.euler_genus()
-    if genus:
-        raise NonPlanarEmbedding(
-            f"rotation system has Euler genus {genus}, not 0")
-
-
 def mirror(m: PlanarMap) -> PlanarMap:
     """The same embedding with reversed global orientation."""
     inv = [0] * m.dart_count
@@ -420,8 +403,7 @@ def dualize(m: PlanarMap) -> PlanarMap:
     are the vertices of ``m``, so applying ``dualize`` twice gives back
     the primal up to vertex renaming.  Raises :class:`NotSimpleDual`
     when two faces of ``m`` share several edges or a face touches
-    itself across an edge, and :class:`NonPlanarEmbedding` when ``m``
-    has positive genus.
+    itself across an edge.
     """
     m.faces
     face_of = m._face_of_dart
@@ -435,7 +417,6 @@ def dualize(m: PlanarMap) -> PlanarMap:
         if pair in seen_pairs:
             raise NotSimpleDual(f"faces {pair} share more than one edge")
         seen_pairs.add(pair)
-    _require_genus_0(m)
 
     sigma_star = [m.sigma[d ^ 1] for d in range(m.dart_count)]
     return PlanarMap._derived(sigma_star, face_of)
@@ -491,25 +472,9 @@ def is_3_connected(m: PlanarMap) -> bool:
 
     Decided from the faces in time linear in the map
     (:func:`_polyhedral`).  Raises :class:`TooSmall` below four
-    vertices and :class:`NonPlanarEmbedding` for a map of positive
-    genus, whose faces cannot decide it.
+    vertices.
     """
     if m.vertex_count < 4:
         raise TooSmall(
             f"3-connectivity needs at least 4 vertices, got {m.vertex_count}")
-    _require_genus_0(m)
     return _polyhedral(m)
-
-
-def require_face(m: PlanarMap, face: Face | int) -> Face:
-    """Resolve ``face`` to a face of ``m`` or raise FaceNotInMap."""
-    faces = m.faces
-    if isinstance(face, int):
-        if not 0 <= face < len(faces):
-            raise FaceNotInMap(f"no face with index {face}")
-        return faces[face]
-    if not isinstance(face, Face):
-        raise FaceNotInMap(f"not a face handle: {face!r}")
-    if face.index >= len(faces) or faces[face.index].darts != face.darts:
-        raise FaceNotInMap(f"face {face.index} does not belong to this map")
-    return faces[face.index]

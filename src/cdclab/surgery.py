@@ -4,8 +4,7 @@ Both surgeries edit rotation lists and number the darts of the result
 directly.  Truncating a vertex or planting an apex in a face of a
 3-connected planar map gives a 3-connected planar map again, so the
 output is not re-validated; the host is checked once, on entry, and
-refused unless it is plane and 3-connected (a host of positive genus
-raises :class:`NonPlanarEmbedding`).  One private ``_augment`` plants
+refused unless it is 3-connected.  One private ``_augment`` plants
 the apexes of a single face, of every face, and of the duality
 square's augmented side.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NotThreeConnected
+from .errors import FaceNotInMap, NotThreeConnected
 from .planar_map import (
     Face,
     PlanarMap,
@@ -23,7 +22,6 @@ from .planar_map import (
     alpha,
     is_3_connected,
     normalize_edge,
-    require_face,
 )
 
 Edge = tuple[int, int]
@@ -56,15 +54,18 @@ def _require_3_connected(m: PlanarMap) -> None:
         raise NotThreeConnected("surgery requires a 3-connected host")
 
 
-def augment_face(m: PlanarMap, f: Face | int) -> tuple[PlanarMap, Correspondence]:
-    """Insert an apex vertex inside face ``f``, joined to its boundary.
+def augment_face(m: PlanarMap, f: int) -> tuple[PlanarMap, Correspondence]:
+    """Insert an apex vertex inside face ``m.faces[f]``, joined to its
+    boundary.
 
-    The face is subdivided into ``len(f)`` triangles; every other face
+    The face is subdivided into one triangle per side; every other face
     is untouched.  The apex rotation runs against the face walk so the
     global orientation convention is preserved.
     """
     _require_3_connected(m)
-    return _augment(m, [require_face(m, f)])
+    if not 0 <= f < m.face_count:
+        raise FaceNotInMap(f"no face with index {f}")
+    return _augment(m, [m.faces[f]])
 
 
 def complete_augmentation(m: PlanarMap) -> tuple[PlanarMap, Correspondence]:

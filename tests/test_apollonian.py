@@ -112,12 +112,12 @@ def test_is_apollonian_accepts_generated_networks():
     for _ in range(10):
         m = apollonian_from_draws(
             [rng.randrange(10 ** 6) for _ in range(rng.randrange(12))])
-        assert is_apollonian(m)
+        assert is_apollonian(underlying_graph(m))
 
 
 def test_is_apollonian_rejects_non_examples():
-    assert not is_apollonian(octahedron())
-    assert not is_apollonian(cube())
+    assert not is_apollonian(underlying_graph(octahedron()))
+    assert not is_apollonian(underlying_graph(cube()))
     k4_minus = SimpleGraph(4, frozenset(
         [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
     assert not is_apollonian(k4_minus)
@@ -139,11 +139,11 @@ def test_recognition_is_order_independent(seed, shuffle_seed):
     perm = list(range(g.n))
     random.Random(shuffle_seed).shuffle(perm)
     shuffled = _relabel_graph(g, random.Random(shuffle_seed))
-    assert is_apollonian(m) is is_apollonian(shuffled) is True
+    assert is_apollonian(g) is is_apollonian(shuffled) is True
     # and the removed neighbourhoods do not depend on the order either
     back = {new: old for old, new in enumerate(perm)}
     assert {tuple(sorted(back[v] for v in t)) for t in _unstack(shuffled)} \
-        == set(_unstack(m))
+        == set(_unstack(g))
 
 
 def test_apollonian_dual_is_cubic():
@@ -179,10 +179,10 @@ def _two_adjacent_stacks():
     m = k4()
     face_a = next(f for f in m.faces
                   if {m.labels[v] for v in f.boundary} == {1, 2, 4})
-    m2, _ = augment_face(m, face_a)
+    m2, _ = augment_face(m, face_a.index)
     face_b = next(f for f in m2.faces
                   if {m2.labels[v] for v in f.boundary} == {2, 3, 4})
-    m3, _ = augment_face(m2, face_b)
+    m3, _ = augment_face(m2, face_b.index)
     return m3
 
 

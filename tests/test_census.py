@@ -9,6 +9,7 @@ from cdclab.apollonian import (
     apollonian_dual,
     generate_apollonian,
     is_apollonian,
+    random_stacks,
 )
 from cdclab.cdc import (
     EnumerationResult,
@@ -25,7 +26,7 @@ from cdclab import census
 from cdclab.census import census_entry
 from cdclab.cli import main
 from cdclab.corpus import default_census_corpus, prism, select
-from cdclab.errors import EdgeLimitExceeded, InvalidCover
+from cdclab.errors import InvalidCover
 from cdclab.io_formats import strip_timing
 from cdclab.planar_map import SimpleGraph, dualize, underlying_graph
 from cdclab.surgery import complete_augmentation, complete_truncation
@@ -39,13 +40,17 @@ TRUNCATED = ["k4", "prism", "cube", "octahedron", "wheel:4", "wheel:5",
 
 def _searched_entry(name, max_edges):
     """A census entry decided by the transition search on the host, to
-    two covers, as the census decided every entry before its routes."""
+    two covers, as the census decided every entry before its routes.
+    The edge cap bounds only the search of a core other than K4, so
+    the host is searched with no cap, and an entry is left undecided
+    only when such a core is over the cap."""
     m = select(name)
     g = underlying_graph(m)
-    try:
-        result = enumerate_covers(g, max_edges=max_edges, limit=2)
-    except EdgeLimitExceeded:
+    core = _contract_triangles(g)[0] if _cubic(g) else None
+    if core is not None and core.n > 4 and len(core.edges) > max_edges:
         result = EnumerationResult((), False, 0.0, 0)
+    else:
+        result = enumerate_covers(g, max_edges=len(g.edges), limit=2)
     dual_apollonian = is_apollonian(underlying_graph(dualize(m)))
     count = len(result.covers)
     if not (result.complete or result.limit_reached):
@@ -81,9 +86,24 @@ def test_routes_match_the_search(max_edges):
         entry = census_entry(name, max_edges=max_edges)
         assert strip_timing(entry) == _searched_entry(name, max_edges), name
         routes.add(entry["timing"]["search"])
-    want = {None} if max_edges == 0 else \
-        {"core", None} if max_edges == 6 else {"core", "certificate"}
+    # only the cube's core (12 edges) is searched and over a cap
+    want = {"core", "certificate"} if max_edges == 16 else \
+        {"core", "certificate", None}
     assert routes == want
+
+
+def test_search_free_routes_decide_large_hosts_at_the_default_cap():
+    # a 1,000-stack dual (3,006 edges) has a K4 core, and wheel:2000
+    # (4,000 edges) is decided by its certificate: neither is searched
+    dual = "apollonian-dual:" + ",".join(map(str, random_stacks(1000, 0)))
+    entry = census_entry(dual)
+    assert (entry["edges"], entry["verdict"], entry["orientable_covers"],
+            entry["complete"]) == (3006, "pass", 1, True)
+    assert (entry["timing"]["search"],
+            entry["timing"]["contractions"]) == ("core", 1000)
+    entry = census_entry("wheel:2000")
+    assert (entry["edges"], entry["verdict"], entry["timing"]["search"]) \
+        == (4000, "pass", "certificate")
 
 
 @pytest.mark.parametrize("stand_in", [lambda m: None, facial_cover],

@@ -13,7 +13,8 @@ import cdclab.apollonian
 from cdclab import cli
 from cdclab.cdc import CircuitDoubleCover, check_orientability, facial_cover
 from cdclab.cli import main
-from cdclab.corpus import k4, select
+from cdclab.apollonian import random_stacks
+from cdclab.corpus import MAX_SIZE, k4, select
 from cdclab.errors import BadSelector, UnknownEdge
 from cdclab.io_formats import (
     COVER_FORMAT,
@@ -401,28 +402,31 @@ def test_enumerate_counts_every_octahedron_cover(tmp_path, capsys):
 
 
 def test_census_entry_over_the_edge_cap_is_incomplete(tmp_path, capsys):
-    # an entry over the cap is undecided; the rest of the census runs
+    # the cap bounds only a searched core: the cube's core is the cube
+    # (12 edges) and is left undecided, the prism's core is K4 and is
+    # not searched; the rest of the census runs
     path = tmp_path / "census.json"
-    code, _, _ = run_cli(capsys, "census", "--corpus", "k4", "prism",
+    code, _, _ = run_cli(capsys, "census", "--corpus", "k4", "prism", "cube",
                          "--workers", "1", "--max-edges", "6",
                          "--out", str(path))
     assert code == 3
     doc = json.loads(path.read_text())
     entries = {e["name"]: e for e in doc["entries"]}
-    assert entries["k4"]["verdict"] == "pass"
-    prism = entries["prism"]
-    assert (prism["verdict"], prism["orientable_covers"],
-            prism["count_is_lower_bound"], prism["complete"]) == \
-        ("incomplete", 0, True, False)
+    assert entries["k4"]["verdict"] == entries["prism"]["verdict"] == "pass"
+    cube = entries["cube"]
+    assert (cube["verdict"], cube["orientable_covers"],
+            cube["count_is_lower_bound"], cube["complete"],
+            cube["timing"]["search"], cube["timing"]["nodes"]) == \
+        ("incomplete", 0, True, False, None, 0)
     assert (doc["verdict"], doc["completed"], doc["incomplete"]) == \
-        ("pass", 1, ["prism"])
+        ("pass", 2, ["cube"])
 
     code, _, _ = run_cli(capsys, "census", "--workers", "1",
                          "--max-edges", "0", "--out", str(path))
     assert code == 3
     doc = json.loads(path.read_text())
-    assert doc["completed"] == 0
-    assert doc["incomplete"] == sorted(doc["corpus"])
+    assert (doc["verdict"], doc["incomplete"]) == ("pass", ["cube"])
+    assert doc["completed"] == len(doc["corpus"]) - 1
 
 
 _SERIAL_CENSUS_IMPORTS = """
@@ -551,6 +555,7 @@ def test_census_entry_that_is_not_3_connected_fails(tmp_path, capsys,
     ["augment", "k4", "--face", "99"],
     ["augment", "k4", "--face", "-1"],
     ["truncate", "k4", "--vertex", "99"],
+    ["augment", "k4", "--face", "4"],
 ])
 def test_out_of_range_surgery_sites_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -599,6 +604,31 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert_one_line_usage_error(code, err)
     assert out == ""
+
+
+# Sizes just past the cap, refused before anything is built.  Do not
+# try a size far past it on a build without the cap: it fills the
+# memory of the machine.
+@pytest.mark.parametrize("argv,message", [
+    (["show", f"wheel:{MAX_SIZE + 1}"],
+     f"wheel size {MAX_SIZE + 1} is over the cap of {MAX_SIZE}"),
+    (["apollonian", "generate", "--stacks", f"{MAX_SIZE + 1}"],
+     f"stack count {MAX_SIZE + 1} is over the cap of {MAX_SIZE}"),
+    (["verify", "prop41", "--stacks", f"{MAX_SIZE + 1}", "--seeds", "0"],
+     f"stack count {MAX_SIZE + 1} is over the cap of {MAX_SIZE}"),
+    (["verify", "prop41", "--seeds", f"0..{MAX_SIZE}"],
+     f"seed range '0..{MAX_SIZE}' holds more than {MAX_SIZE} seeds"),
+], ids=["wheel", "stacks", "prop41-stacks", "seed-range"])
+def test_sizes_over_the_cap_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_usage_error(code, err)
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_sizes_at_the_cap_are_accepted():
+    assert len(cli._parse_seed_range(f"1..{MAX_SIZE}")) == MAX_SIZE
+    assert len(random_stacks(MAX_SIZE, 0)) == MAX_SIZE
 
 
 def test_usage_error_on_missing_subcommand(capsys):

@@ -81,11 +81,9 @@ def test_corpus_is_planar_and_3_connected(name, m):
 
 def test_ascending_k4_rotation_is_toroidal():
     # same graph as k4(), different rotation: the embedding has genus 1
-    with pytest.raises(NonPlanarEmbedding):
+    with pytest.raises(NonPlanarEmbedding,
+                       match="rotation system has Euler genus 1, not 0"):
         from_rotation(TORUS_K4)
-    m = from_rotation(TORUS_K4, require_planar=False)
-    assert m.face_count == 2
-    assert m.euler_genus() == 1
 
 
 def test_mirror_of_k4_is_planar():
@@ -96,16 +94,11 @@ def test_mirror_of_k4_is_planar():
 
 
 def test_dual_of_a_toroidal_map_is_refused():
-    # the toroidal K7 has a simple dual, so only the genus check stops it
-    m = from_rotation(TOROIDAL_K7, require_planar=False)
-    assert m.euler_genus() == 1
-    faces = [{m.face_of_dart(d), m.face_of_dart(d ^ 1)}
-             for d in range(0, m.dart_count, 2)]
-    assert all(len(pair) == 2 for pair in faces)
-    assert len({frozenset(pair) for pair in faces}) == m.edge_count
+    # the toroidal K7 has a simple dual, so only the genus check stops
+    # it, and the constructor makes it before any dual is taken
     with pytest.raises(NonPlanarEmbedding,
                        match="rotation system has Euler genus 1, not 0"):
-        dualize(m)
+        from_rotation(TOROIDAL_K7)
 
 
 def _derived_maps():
@@ -124,8 +117,8 @@ def _derived_maps():
     return maps
 
 
-def _assert_same_as_validated(m, *, planar=True):
-    full = PlanarMap(m.sigma, m.vertex_of, m.labels, require_planar=planar)
+def _assert_same_as_validated(m):
+    full = PlanarMap(m.sigma, m.vertex_of, m.labels)
     assert (m.sigma, m.vertex_of, m.labels) == \
         (full.sigma, full.vertex_of, full.labels)
     assert m.faces == full.faces
@@ -138,12 +131,6 @@ def test_derived_maps_equal_their_validated_rebuilds():
     # each of them and agree on every slot, faces included
     for m in _derived_maps():
         _assert_same_as_validated(m)
-    for rotation in (TOROIDAL_K7, TORUS_K4):
-        m = from_rotation(rotation, require_planar=False)
-        flipped = mirror(m)
-        assert flipped.euler_genus() == 1
-        assert [flipped.sigma[e] for e in m.sigma] == list(range(m.dart_count))
-        _assert_same_as_validated(flipped, planar=False)
 
 
 def test_derived_maps_check_their_labels():
@@ -161,17 +148,17 @@ def test_derived_maps_check_their_labels():
 
 def test_loop_is_rejected():
     with pytest.raises(NotSimple):
-        from_rotation({1: [1, 1, 2], 2: [1]}, require_planar=False)
+        from_rotation({1: [1, 1, 2], 2: [1]})
 
 
 def test_parallel_edge_is_rejected():
     with pytest.raises(NotSimple):
-        from_rotation({1: [2, 2], 2: [1, 1]}, require_planar=False)
+        from_rotation({1: [2, 2], 2: [1, 1]})
 
 
 def test_asymmetric_adjacency_is_rejected():
     with pytest.raises(NonSymmetricAdjacency):
-        from_rotation({1: [2], 2: []}, require_planar=False)
+        from_rotation({1: [2], 2: []})
 
 
 def test_disconnected_input_is_rejected():
@@ -180,7 +167,7 @@ def test_disconnected_input_is_rejected():
         4: [5, 6], 5: [6, 4], 6: [4, 5],
     }
     with pytest.raises(Disconnected):
-        from_rotation(two_triangles, require_planar=False)
+        from_rotation(two_triangles)
 
 
 def test_rotation_lists_roundtrip():
@@ -318,17 +305,6 @@ def test_face_criterion_matches_pair_deletion():
     assert (len(maps), sum(verdicts)) == (4059, 750)
 
 
-def test_maps_of_positive_genus_are_refused():
-    # the face criterion holds on the sphere only: the faces of K4 on
-    # the torus pass every vertex twice, yet K4 is 3-connected
-    torus_k4 = from_rotation(TORUS_K4, require_planar=False)
-    assert any(len(set(f.boundary)) < len(f) for f in torus_k4.faces)
-    for m in (torus_k4, from_rotation(TOROIDAL_K7, require_planar=False)):
-        with pytest.raises(NonPlanarEmbedding,
-                           match="rotation system has Euler genus 1, not 0"):
-            is_3_connected(m)
-
-
 def test_mirror_involution_and_genus():
     for name, m in corpus_maps():
         mm = mirror(mirror(m))
@@ -349,9 +325,9 @@ def _random_rotation_of_k5(rng: random.Random) -> dict[int, list[int]]:
 @settings(max_examples=60, deadline=None)
 def test_k5_has_no_genus_zero_rotation(seed):
     # K5 is not planar, so every rotation system has positive genus
-    m = from_rotation(_random_rotation_of_k5(random.Random(seed)),
-                      require_planar=False)
-    assert m.euler_genus() >= 1
+    with pytest.raises(NonPlanarEmbedding,
+                       match="rotation system has Euler genus [1-9]"):
+        from_rotation(_random_rotation_of_k5(random.Random(seed)))
 
 
 @given(st.lists(st.integers(0, 10 ** 6), max_size=10))

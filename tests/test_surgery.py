@@ -15,7 +15,7 @@ from cdclab.corpus import (
     select,
     wheel,
 )
-from cdclab.errors import NonPlanarEmbedding, NotThreeConnected
+from cdclab.errors import FaceNotInMap, NotThreeConnected
 from cdclab.io_formats import correspondence_to_json, dumps
 from cdclab.iso import maps_isomorphic
 from cdclab.planar_map import (
@@ -32,12 +32,7 @@ from cdclab.surgery import (
     truncate_vertex,
 )
 
-from conftest import (
-    TOROIDAL_K7,
-    TORUS_K4,
-    apollonian_from_draws,
-    corpus_maps,
-)
+from conftest import apollonian_from_draws, corpus_maps
 
 
 def test_complete_truncation_of_k4_counts():
@@ -89,7 +84,7 @@ def test_complete_augmentation_properties(name, m):
     g = underlying_graph(out)
     for face in m.faces:
         apex = corr.face_faces[face.index]
-        assert g.neighbors(apex) == frozenset(face.boundary)
+        assert g.adjacency[apex] == frozenset(face.boundary)
 
 
 @pytest.mark.parametrize("name,m", corpus_maps())
@@ -187,7 +182,7 @@ def test_hexagonal_prism_face_augmentation():
     m = prism(6)
     inner = frozenset(range(6))
     face = next(f for f in m.faces if frozenset(f.boundary) == inner)
-    out, corr = augment_face(m, face)
+    out, corr = augment_face(m, face.index)
     apex = corr.face_faces[face.index]
     assert out.degree(apex) == 6
     assert out.vertex_count == 13
@@ -197,7 +192,7 @@ def test_hexagonal_prism_face_augmentation():
 def test_augmentation_keeps_other_faces():
     m = cube()
     face = m.faces[0]
-    out, _ = augment_face(m, face)
+    out, _ = augment_face(m, face.index)
     untouched = sorted(
         tuple(sorted(f.boundary)) for f in m.faces if f.index != face.index)
     surviving = sorted(
@@ -215,19 +210,11 @@ def test_surgery_requires_3_connected():
         complete_augmentation(square)
 
 
-@pytest.mark.parametrize("surgery", [
-    lambda m: augment_face(m, 0), complete_augmentation,
-    complete_truncation, lambda m: truncate_vertex(m, 0)],
-    ids=["augment_face", "complete_augmentation", "complete_truncation",
-         "truncate_vertex"])
-@pytest.mark.parametrize("rotation", [TORUS_K4, TOROIDAL_K7],
-                         ids=["torus-k4", "toroidal-k7"])
-def test_surgeries_refuse_a_host_of_positive_genus(surgery, rotation):
-    # both hosts are 3-connected graphs, but no surgery output on the
-    # torus would be the plane map the surgeries promise
-    with pytest.raises(NonPlanarEmbedding,
-                       match="rotation system has Euler genus 1, not 0"):
-        surgery(from_rotation(rotation, require_planar=False))
+def test_augmenting_a_face_not_in_the_map_is_refused():
+    m = cube()
+    for f in (-1, m.face_count):
+        with pytest.raises(FaceNotInMap, match=f"^no face with index {f}$"):
+            augment_face(m, f)
 
 
 def test_augment_then_check_inherited_edges_are_preserved():
